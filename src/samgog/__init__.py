@@ -35,7 +35,6 @@ from .sampler import (
     SamplerConfig,
     edge_homophily,
     empirical_inclusion_matrix,
-    sample_gog,
 )
 from .similarity import (
     ProbMatrix,

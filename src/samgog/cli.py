@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +33,7 @@ from .degree_alloc import allocate_degrees, dump_allocation
 from .downstream import PipelineResult, train_full_pipeline
 from .encoder import encode_dataset, init_encoder_state
 from .rng import mix
-from .sampler import GoGSampler, dump_gog, edge_homophily
+from .sampler import WITH_REPLACEMENT, GoGSampler, SamplerConfig, dump_gog, edge_homophily
 from .similarity import build_prob_matrix, expected_homophily, similarity_matrix
 
 METRIC_COLUMNS = (
@@ -123,7 +122,6 @@ def _run_one(config: ExperimentConfig, dataset, split, run_index: int) -> Pipeli
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str,
-    parallel: bool = False,
     dump_allocation_file: bool = False,
     dump_gogs: bool = False,
 ) -> int:
@@ -137,17 +135,10 @@ def run_experiment(
         allocation = allocate_degrees(split, dataset, config.alloc_config())
         dump_allocation(allocation, os.path.join(out_dir, "allocation.txt"))
 
-    indices = list(range(config.runs))
-    if parallel and config.runs > 1:
-        with ThreadPoolExecutor(max_workers=min(config.runs, 8)) as pool:
-            results = list(
-                pool.map(lambda r: _run_one(config, dataset, split, r), indices)
-            )
-    else:
-        results = [_run_one(config, dataset, split, r) for r in indices]
+    results = [_run_one(config, dataset, split, r) for r in range(config.runs)]
 
     rows = []
-    for r, res in zip(indices, results):
+    for r, res in enumerate(results):
         m = res.metrics
         rows.append(
             [
@@ -188,7 +179,7 @@ def run_experiment(
             indent=2,
         )
 
-    for r, res in zip(indices, results):
+    for r, res in enumerate(results):
         with open(os.path.join(out_dir, f"curve_run{r}.csv"), "w") as f:
             f.write(",".join(CURVE_COLUMNS) + "\n")
             for point in res.curve:
@@ -219,7 +210,11 @@ def emit_homophily_sweep(
     samples_per_degree: int = 10,
 ) -> str:
     """Edge homophily (mean and stddev over sampled GoGs) and its closed-form
-    expectation at each target average degree; one CSV row per degree."""
+    expectation at each target average degree; one CSV row per degree.
+
+    The sweep always samples with replacement, whatever ``sampler.mode`` says:
+    that is the mode in which the closed form is the exact expectation.
+    """
     os.makedirs(out_dir, exist_ok=True)
     dataset = load_dataset(config)
     split = resolve_split(config, dataset)
@@ -247,7 +242,10 @@ def emit_homophily_sweep(
             allocation = allocate_degrees(split, dataset, alloc_config)
             sampler = GoGSampler(
                 sim, allocation,
-                config.sampler_config(seed=mix(config.seed, 0x40, int(d_bar * 1000))),
+                SamplerConfig(
+                    mode=WITH_REPLACEMENT,
+                    seed=mix(config.seed, 0x40, int(d_bar * 1000)),
+                ),
             )
             values = [
                 edge_homophily(sampler.sample(j), labels)
@@ -299,9 +297,6 @@ def main(argv=None) -> int:
     p_train = sub.add_parser("train", help="run seeded training repetitions")
     _add_common(p_train)
     p_train.add_argument(
-        "--parallel", action="store_true", help="run repetitions in parallel"
-    )
-    p_train.add_argument(
         "--dump-allocation", action="store_true",
         help="write the degree allocation audit file",
     )
@@ -341,7 +336,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "train":
             return run_experiment(
-                _load(args), args.out, parallel=args.parallel,
+                _load(args), args.out,
                 dump_allocation_file=args.dump_allocation,
                 dump_gogs=args.dump_gog,
             )

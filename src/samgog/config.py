@@ -204,13 +204,3 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config_text(text, overrides)
-
-
-def default_config(overrides: dict | None = None) -> ExperimentConfig:
-    """A planted-dataset configuration for smokes and theory tasks."""
-    base = {"dataset.kind": "planted", "alloc.d_bar": 5.0}
-    base.update(overrides or {})
-    values = {key: default for key, (_, default) in _SCHEMA.items()}
-    values.update(base)
-    _validate(values)
-    return ExperimentConfig(values=values)

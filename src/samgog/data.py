@@ -551,12 +551,6 @@ def labels_with_test_masked(dataset: GraphDataset, split: SplitSpec) -> np.ndarr
     return labels
 
 
-def train_labeled_mask(dataset: GraphDataset, split: SplitSpec) -> np.ndarray:
-    mask = np.zeros(len(dataset), dtype=bool)
-    mask[list(split.train_idx)] = True
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Synthetic fixtures
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ downstream model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,13 +146,13 @@ def gog_propagation_matrix(gog: GoGGraph, symmetrize: bool) -> np.ndarray:
     w = gog.count_matrix()
     if symmetrize:
         w = w + w.T
-    return normalize_adjacency(w, add_self_loops=True)
+    return normalize_adjacency(w)
 
 
 def full_propagation_matrix(sim_s: np.ndarray) -> np.ndarray:
     """Normalized propagation over the complete similarity-weighted graph,
     the reference the sampled structures approximate."""
-    return normalize_adjacency(sim_s, add_self_loops=True)
+    return normalize_adjacency(sim_s)
 
 
 def _downstream_forward(prop, h, views, config, rng, train):
@@ -176,20 +175,14 @@ def _downstream_forward(prop, h, views, config, rng, train):
 
 
 def downstream_forward(
-    prop_or_gog,
+    prop: np.ndarray,
     h: np.ndarray,
     state: ModelState,
     config: GoGClassifierConfig,
     train: bool = False,
 ) -> np.ndarray:
-    """Logits per GoG node; accepts a GoGGraph or a prebuilt propagation
-    matrix."""
-    if isinstance(prop_or_gog, GoGGraph):
-        if prop_or_gog.num_nodes != h.shape[0]:
-            raise ValueError("GoG node count does not match embedding rows")
-        prop = gog_propagation_matrix(prop_or_gog, config.symmetrize)
-    else:
-        prop = prop_or_gog
+    """Logits per GoG node for a propagation matrix from
+    ``gog_propagation_matrix``."""
     logits, _ = _downstream_forward(prop, h, state.views(), config, state.rng, train)
     return logits
 
@@ -288,19 +281,16 @@ def compute_metrics(
     )
 
 
-def balanced_accuracy(predictions: np.ndarray, true_labels: np.ndarray) -> float:
-    pred = np.asarray(predictions)
-    true = np.asarray(true_labels)
-    recalls = []
-    for cls in np.unique(true):
-        mask = true == cls
-        recalls.append(float((pred[mask] == cls).mean()))
-    return float(np.mean(recalls))
-
-
 # ---------------------------------------------------------------------------
 # Full pipeline
 # ---------------------------------------------------------------------------
+
+
+def _check_finite(label: str, *values) -> None:
+    """Stages run under ``np.errstate(all="ignore")``; divergence surfaces
+    here as an error naming the stage and the epoch."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise TrainingError(f"{label} diverged: non-finite output")
 
 
 def _mean_eval_logits(sampler, h, state, config, stream_base, count):
@@ -394,15 +384,15 @@ def train_full_pipeline(
     curve: list[CurvePoint] = []
 
     for epoch in range(1, epochs + 1):
-        enc_loss, enc_grad, h, logits = encoder_loss_and_grad(
-            dataset, encoder_config, enc_state, train_only, train_list,
-            train=True, ops=ops,
-        )
-        if not math.isfinite(enc_loss):
-            raise TrainingError(f"encoder loss diverged at epoch {epoch}")
-        if encoder_config.dropout > 0.0:
-            # similarity must come from a dropout-free pass
-            h, logits = encode_dataset(dataset, encoder_config, enc_state, ops=ops)
+        with np.errstate(all="ignore"):
+            enc_loss, enc_grad, h, logits = encoder_loss_and_grad(
+                dataset, encoder_config, enc_state, train_only, train_list,
+                train=True, ops=ops,
+            )
+            if encoder_config.dropout > 0.0:
+                # similarity must come from a dropout-free pass
+                h, logits = encode_dataset(dataset, encoder_config, enc_state, ops=ops)
+        _check_finite(f"encoder step at epoch {epoch}", enc_loss, enc_grad, h, logits)
         prob = build_prob_matrix(logits, train_only, train_mask)
         sim = similarity_matrix(prob, zero_diagonal=True)
         sampler = GoGSampler(sim, allocation, sampler_config)
@@ -413,26 +403,30 @@ def train_full_pipeline(
         for j in range(t):
             gog = sampler.sample(epoch * t + j)
             prop = gog_propagation_matrix(gog, downstream_config.symmetrize)
-            loss_j, grad_j, _ = downstream_loss_and_grad(
-                prop, h, down_state, downstream_config,
-                train_only, train_list, train=True,
-            )
+            with np.errstate(all="ignore"):
+                loss_j, grad_j, _ = downstream_loss_and_grad(
+                    prop, h, down_state, downstream_config,
+                    train_only, train_list, train=True,
+                )
+            _check_finite(f"downstream step at epoch {epoch}", loss_j, grad_j)
             grad_sum += grad_j
             loss_sum += loss_j
             homo_vals.append(_observable_homophily(gog, observable))
         down_loss = loss_sum / t
-        if not math.isfinite(down_loss):
-            raise TrainingError(f"downstream loss diverged at epoch {epoch}")
         optimizer_step(down_state, grad_sum / t)
         optimizer_step(enc_state, enc_grad)
 
         if val_list:
-            val_logits, _ = _mean_eval_logits(
-                sampler, h, down_state, downstream_config,
-                _EVAL_STREAM_BASE + epoch * n_eval, n_eval,
-            )
-            val_pred = val_logits[val_list].argmax(axis=1)
-            val_score = balanced_accuracy(val_pred, observable[val_list])
+            with np.errstate(all="ignore"):
+                val_logits, _ = _mean_eval_logits(
+                    sampler, h, down_state, downstream_config,
+                    _EVAL_STREAM_BASE + epoch * n_eval, n_eval,
+                )
+            _check_finite(f"validation forward at epoch {epoch}", val_logits)
+            val_score = compute_metrics(
+                val_logits[val_list].argmax(axis=1), observable[val_list],
+                num_classes=dataset.num_classes,
+            ).balanced_accuracy
         else:
             val_score = float("nan")
         if not val_list or val_score >= best["score"]:
@@ -458,13 +452,18 @@ def train_full_pipeline(
     # restore the selected parameters and evaluate on test indices
     enc_state.params[...] = best["encoder"]
     down_state.params[...] = best["downstream"]
-    h, logits = encode_dataset(dataset, encoder_config, enc_state, ops=ops)
+    final = f"final evaluation with the parameters of epoch {best['epoch']}"
+    with np.errstate(all="ignore"):
+        h, logits = encode_dataset(dataset, encoder_config, enc_state, ops=ops)
+    _check_finite(final, h, logits)
     prob = build_prob_matrix(logits, train_only, train_mask)
     sim = similarity_matrix(prob, zero_diagonal=True)
     sampler = GoGSampler(sim, allocation, sampler_config)
-    test_logits, eval_gogs = _mean_eval_logits(
-        sampler, h, down_state, downstream_config, _FINAL_STREAM_BASE, n_eval
-    )
+    with np.errstate(all="ignore"):
+        test_logits, eval_gogs = _mean_eval_logits(
+            sampler, h, down_state, downstream_config, _FINAL_STREAM_BASE, n_eval
+        )
+    _check_finite(final, test_logits)
 
     labels_true = dataset.labels()
     test_list = list(split.test_idx)
@@ -518,18 +517,21 @@ def train_encoder_baseline(
     best_params = enc_state.params.copy()
     best_score = -np.inf
     for epoch in range(1, epochs + 1):
-        loss, grad, _, _ = encoder_loss_and_grad(
-            dataset, encoder_config, enc_state, observable, train_list,
-            train=True, ops=ops,
-        )
-        if not math.isfinite(loss):
-            raise TrainingError(f"encoder loss diverged at epoch {epoch}")
+        with np.errstate(all="ignore"):
+            loss, grad, _, _ = encoder_loss_and_grad(
+                dataset, encoder_config, enc_state, observable, train_list,
+                train=True, ops=ops,
+            )
+        _check_finite(f"encoder step at epoch {epoch}", loss, grad)
         optimizer_step(enc_state, grad)
         if val_list:
-            _, logits = encode_dataset(dataset, encoder_config, enc_state, ops=ops)
-            score = balanced_accuracy(
-                logits[val_list].argmax(axis=1), observable[val_list]
-            )
+            with np.errstate(all="ignore"):
+                _, logits = encode_dataset(dataset, encoder_config, enc_state, ops=ops)
+            _check_finite(f"validation forward at epoch {epoch}", logits)
+            score = compute_metrics(
+                logits[val_list].argmax(axis=1), observable[val_list],
+                num_classes=dataset.num_classes,
+            ).balanced_accuracy
             if score >= best_score:
                 best_score = score
                 best_params = enc_state.params.copy()

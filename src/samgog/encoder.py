@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GraphDataset, InputGraph
+from .data import GraphDataset
 from .nn import (
     ModelState,
     ParamSpec,
@@ -94,25 +94,26 @@ def init_encoder_state(
 # ---------------------------------------------------------------------------
 
 
-def dense_adjacency(graph: InputGraph) -> np.ndarray:
-    a = np.zeros((graph.size, graph.size), dtype=np.float64)
-    for u, v in graph.edges:
+def _adjacency(n: int, edges) -> np.ndarray:
+    """Symmetric 0/1 adjacency with input self-loops dropped: GCN adds exactly
+    one self-loop in its normalization, and GIN's (1 + eps) x term is the
+    node's own share."""
+    a = np.zeros((n, n), dtype=np.float64)
+    for u, v in edges:
         a[u, v] = 1.0
         a[v, u] = 1.0
-    return a
-
-
-def graph_operator(graph: InputGraph, arch: str) -> np.ndarray:
-    """The propagation matrix a layer multiplies by: normalized with
-    self-loops for GCN, the raw adjacency for GIN."""
-    a = dense_adjacency(graph)
-    if arch == ARCH_GCN:
-        return normalize_adjacency(a, add_self_loops=True)
+    np.fill_diagonal(a, 0.0)
     return a
 
 
 def build_operators(dataset: GraphDataset, config: EncoderConfig) -> list[np.ndarray]:
-    return [graph_operator(g, config.arch) for g in dataset.graphs]
+    """Per-graph propagation matrices: normalized with self-loops for GCN,
+    the raw adjacency for GIN."""
+    ops = []
+    for g in dataset.graphs:
+        a = _adjacency(g.size, g.edges)
+        ops.append(normalize_adjacency(a) if config.arch == ARCH_GCN else a)
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +123,7 @@ def build_operators(dataset: GraphDataset, config: EncoderConfig) -> list[np.nda
 
 def gcn_layer_forward(features: np.ndarray, edges, weights: np.ndarray) -> np.ndarray:
     """ReLU(A_hat @ features @ weights) for one graph given its edge list."""
-    n = features.shape[0]
-    a = np.zeros((n, n), dtype=np.float64)
-    for u, v in edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    prop = normalize_adjacency(a, add_self_loops=True)
+    prop = normalize_adjacency(_adjacency(features.shape[0], edges))
     out, _ = propagate_forward(prop, features, weights, activation=True)
     return out
 
@@ -136,11 +132,7 @@ def gin_layer_forward(
     features: np.ndarray, edges, mlp_weights, epsilon: float
 ) -> np.ndarray:
     """MLP((1 + epsilon) x + sum of neighbor features) for one graph."""
-    n = features.shape[0]
-    a = np.zeros((n, n), dtype=np.float64)
-    for u, v in edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    a = _adjacency(features.shape[0], edges)
     w1, b1, w2, b2 = mlp_weights
     agg = (1.0 + epsilon) * features + a @ features
     out, _ = mlp2_forward(agg, w1, b1, w2, b2)
@@ -159,11 +151,12 @@ def _dropout_mask(rng, shape, p):
 def _forward(dataset, config, views, rng, train, ops):
     """Returns (H, logits, cache).  Dropout draws come from ``rng`` in graph
     order, so a single-threaded pass is deterministic given the stream."""
+    if ops is None:
+        ops = build_operators(dataset, config)
     p = config.dropout if train else 0.0
     graph_caches = []
     rows = []
-    for gi, g in enumerate(dataset.graphs):
-        prop = ops[gi] if ops is not None else graph_operator(g, config.arch)
+    for g, prop in zip(dataset.graphs, ops):
         x = g.node_features
         layer_caches = []
         for layer in range(1, config.num_layers + 1):
@@ -204,7 +197,7 @@ def _forward(dataset, config, views, rng, train, ops):
     return h, logits, cache
 
 
-def _backward(dataset, config, views, cache, dlogits, grad_views):
+def _backward(config, views, cache, dlogits, grad_views):
     graph_caches, h, z1, r1_dropped, head_mask = cache
     w1, w2 = views["head.W1"], views["head.W2"]
 
@@ -218,8 +211,7 @@ def _backward(dataset, config, views, cache, dlogits, grad_views):
     grad_views["head.b1"] += dz1.sum(axis=0)
     dh = dz1 @ w1.T
 
-    for gi, g in enumerate(dataset.graphs):
-        prop, n, layer_caches = graph_caches[gi]
+    for gi, (prop, n, layer_caches) in enumerate(graph_caches):
         if config.readout == READOUT_MEAN:
             dx = np.tile(dh[gi] / n, (n, 1))
         else:
@@ -274,5 +266,5 @@ def supervised_loss_and_grad(
     )
     grad = np.zeros_like(state.params)
     grad_views = state.spec.views(grad)
-    _backward(dataset, config, views, cache, dlogits, grad_views)
+    _backward(config, views, cache, dlogits, grad_views)
     return loss, grad, h, logits

@@ -1,5 +1,5 @@
 """Shared neural-network plumbing: flat parameter vectors partitioned into
-named tensors, activations, cross-entropy, SGD/Adam, and checkpoint files.
+named tensors, activations, cross-entropy, and SGD/Adam.
 
 All arithmetic is float64 so finite-difference gradient checks can use tight
 tolerances.
@@ -7,7 +7,6 @@ tolerances.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,18 +97,12 @@ def cross_entropy_and_dlogits(
 # ---------------------------------------------------------------------------
 
 
-def normalize_adjacency(adj: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
-    """Symmetric degree normalization D^{-1/2} (A [+ I]) D^{-1/2}.
-
-    Rows whose degree is zero (possible only without self-loops) stay zero.
-    """
+def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
+    """Symmetric degree normalization D^{-1/2} (A + I) D^{-1/2} of a
+    nonnegative adjacency; the self-loop keeps every degree >= 1."""
     a = adj.astype(np.float64, copy=True)
-    if add_self_loops:
-        a[np.diag_indices_from(a)] += 1.0
-    deg = a.sum(axis=1)
-    inv_sqrt = np.zeros_like(deg)
-    positive = deg > 0
-    inv_sqrt[positive] = 1.0 / np.sqrt(deg[positive])
+    a[np.diag_indices_from(a)] += 1.0
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
@@ -248,59 +241,3 @@ def optimizer_step(state: ModelState, grad: np.ndarray) -> ModelState:
         v_hat = state.v / (1.0 - state.beta2**s)
         state.params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return state
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint files: version byte, then a named-tensor list
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(bytes([CHECKPOINT_VERSION]))
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
-            f.write(np.ascontiguousarray(arr).astype("<f8").tobytes())
-
-
-def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        version = f.read(1)
-        if not version or version[0] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version in {path}")
-        (count,) = struct.unpack("<I", f.read(4))
-        out = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(8 * size), dtype="<f8").astype(np.float64)
-            out[name] = data.reshape(shape)
-        return out
-
-
-def model_tensors(state: ModelState) -> dict[str, np.ndarray]:
-    return {name: view.copy() for name, view in state.views().items()}
-
-
-def load_model_params(state: ModelState, tensors: dict[str, np.ndarray]) -> None:
-    views = state.views()
-    for name, view in views.items():
-        if name not in tensors:
-            raise ValueError(f"checkpoint missing tensor {name!r}")
-        if tensors[name].shape != view.shape:
-            raise ValueError(
-                f"tensor {name!r} shape {tensors[name].shape} != {view.shape}"
-            )
-        view[...] = tensors[name]

@@ -162,16 +162,6 @@ class GoGSampler:
         )
 
 
-def sample_gog(
-    sim: SimilarityMatrix,
-    allocation: DegreeAllocation,
-    config: SamplerConfig,
-    stream_id: int,
-) -> GoGGraph:
-    """Draw one GoG; deterministic given (config.seed, stream_id)."""
-    return GoGSampler(sim, allocation, config).sample(stream_id)
-
-
 def edge_homophily(gog: GoGGraph, true_labels: np.ndarray) -> float:
     """Multiplicity-weighted fraction of edges joining same-label nodes."""
     if gog.edges.size == 0:
@@ -213,20 +203,3 @@ def dump_gog(gog: GoGGraph, path: str) -> None:
         f.write(f"{gog.num_nodes} {gog.mode} {gog.stream_key}\n")
         for src, dst, mult in gog.edges:
             f.write(f"{src} {dst} {mult}\n")
-
-
-def load_gog(path: str) -> GoGGraph:
-    with open(path, "r", newline=None) as f:
-        header = f.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: malformed GoG header")
-        num_nodes, mode, stream_key = int(header[0]), header[1], int(header[2])
-        rows = []
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append([int(t) for t in line.split()])
-    edges = (
-        np.array(rows, dtype=np.int64) if rows else np.zeros((0, 3), dtype=np.int64)
-    )
-    return GoGGraph(edges=edges, num_nodes=num_nodes, mode=mode, stream_key=stream_key)

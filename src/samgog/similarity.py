@@ -114,10 +114,3 @@ def expected_homophily(
     prob = homophily_prob_all(sim, true_labels)
     k = np.asarray(allocation.k, dtype=np.float64)
     return float((k * prob).sum() / k.sum())
-
-
-def dump_similarity(sim: SimilarityMatrix, path: str) -> None:
-    """Row-major text dump, 17 significant digits per entry."""
-    with open(path, "w") as f:
-        for row in sim.S:
-            f.write(" ".join(f"{x:.17g}" for x in row) + "\n")

@@ -76,9 +76,10 @@ def test_criterion_02_similarity_degeneracy():
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     homophilies = []
     for stream in range(5):
-        gog = sp.sample_gog(
-            s, alloc, SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=11), stream
-        )
+        gog = sp.GoGSampler(
+            s, alloc,
+            SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=11),
+        ).sample(stream)
         homophilies.append(sp.edge_homophily(gog, labels))
     ok &= all(h == 1.0 for h in homophilies)
     report(

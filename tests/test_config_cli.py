@@ -116,25 +116,6 @@ class TestRunExperiment:
                            atol=1e-12)
         assert len(run_rows) == 3
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        cfg_path = self.write_config(
-            tmp_path, GOOD_CONFIG.replace("runs = 1", "runs = 2")
-        )
-        out_seq = str(tmp_path / "seq")
-        out_par = str(tmp_path / "par")
-        assert cli.main(["train", "--config", cfg_path, "--out", out_seq]) == 0
-        assert (
-            cli.main(
-                ["train", "--config", cfg_path, "--out", out_par, "--parallel"]
-            )
-            == 0
-        )
-        with open(os.path.join(out_seq, "metrics.csv")) as f:
-            seq = f.read()
-        with open(os.path.join(out_par, "metrics.csv")) as f:
-            par = f.read()
-        assert seq == par
-
     def test_dump_flags_write_audit_files(self, tmp_path):
         cfg_path = self.write_config(tmp_path)
         out = str(tmp_path / "out")
@@ -181,6 +162,22 @@ class TestOtherSubcommands:
             vals = [float(x) for x in ln.split(",")]
             assert 0.0 <= vals[1] <= 1.0
             assert 0.0 <= vals[3] <= 1.0
+
+    def test_sweep_homophily_mean_matches_closed_form(self, tmp_path):
+        # the closed form is exact for with-replacement sampling, which the
+        # sweep uses even though this config samples without replacement
+        cfg = config.parse_config_text(GOOD_CONFIG)
+        assert cfg["sampler.mode"] == "without-replacement"
+        samples = 200
+        path = cli.emit_homophily_sweep(
+            cfg, [2, 4, 8], str(tmp_path / "out"), samples_per_degree=samples
+        )
+        with open(path) as f:
+            lines = f.read().splitlines()[1:]
+        rows = [[float(x) for x in ln.split(",")] for ln in lines]
+        assert [r[0] for r in rows] == [2.0, 4.0, 8.0]
+        for _, mean, std, closed in rows:
+            assert abs(mean - closed) <= 3.0 * std / np.sqrt(samples) + 1e-12
 
     def test_sweep_homophily_all_same_label_is_one(self, tmp_path):
         # fully labeled identical-class dataset: every sampled edge is

@@ -24,7 +24,8 @@ class TestDownstreamForward:
         state.params[...] = 0.0
         gog = make_gog([[0, 1, 1], [1, 0, 1]], 2)
         h = np.random.default_rng(0).normal(size=(2, 3))
-        logits = ds_mod.downstream_forward(gog, h, state, config)
+        prop = ds_mod.gog_propagation_matrix(gog, config.symmetrize)
+        logits = ds_mod.downstream_forward(prop, h, state, config)
         assert np.all(logits == 0.0)
         assert np.allclose(nn.softmax_rows(logits), 0.5)
 
@@ -34,7 +35,8 @@ class TestDownstreamForward:
         views = state.views()
         h = np.random.default_rng(1).normal(size=(5, 3))
         gog = make_gog([], 5)
-        logits = ds_mod.downstream_forward(gog, h, state, config)
+        prop = ds_mod.gog_propagation_matrix(gog, config.symmetrize)
+        logits = ds_mod.downstream_forward(prop, h, state, config)
         # with only self-loops the propagation matrix is the identity, so
         # each row is the same per-node MLP of the centered embedding
         centered = h - h.mean(axis=0)
@@ -69,7 +71,8 @@ class TestDownstreamForward:
         )
         expected = prop @ hidden @ views["gog2.W"] + views["gog2.b"]
 
-        logits = ds_mod.downstream_forward(gog, h, state, config)
+        built = ds_mod.gog_propagation_matrix(gog, config.symmetrize)
+        logits = ds_mod.downstream_forward(built, h, state, config)
         assert np.allclose(logits, expected, atol=1e-12)
 
     def test_asymmetric_mode_keeps_direction(self):
@@ -246,13 +249,30 @@ class TestFullPipeline:
         assert a.curve == b.curve
         assert a.metrics.accuracy == pytest.approx(1.0 - b.metrics.accuracy)
 
+    @pytest.mark.filterwarnings("error")
     def test_divergence_reports_epoch(self):
         ds = data.make_planted_dataset(num_graphs=20, seed=14, noise=0.5)
         split = data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.25, seed=15)
         cfg = pipeline_configs()
-        with pytest.raises(nn.TrainingError, match="epoch"):
+        with pytest.raises(nn.TrainingError, match="encoder step at epoch 2"):
             ds_mod.train_full_pipeline(
                 ds, split, epochs=3, seed=16, encoder_lr=1e150, **cfg
+            )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "epochs, rates, stage",
+        [
+            (3, {"downstream_lr": 1e200}, "validation forward at epoch 1"),
+            (1, {"encoder_lr": 1e150}, "final evaluation with the parameters of epoch 1"),
+        ],
+    )
+    def test_divergence_names_the_stage(self, epochs, rates, stage):
+        ds = data.make_planted_dataset(num_graphs=20, seed=14, noise=0.5)
+        split = data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.25, seed=15)
+        with pytest.raises(nn.TrainingError, match=stage):
+            ds_mod.train_full_pipeline(
+                ds, split, epochs=epochs, seed=16, **rates, **pipeline_configs()
             )
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -264,14 +266,52 @@ class TestGradients:
             assert np.linalg.norm(grad) < 1e-5
 
 
-def test_checkpoint_round_trip_through_encoder_state(tmp_path):
-    ds = tiny_dataset(seed=20)
-    config = enc.EncoderConfig(hidden_dim=4)
-    state = enc.init_encoder_state(ds, config, seed=23)
-    path = tmp_path / "enc.bin"
-    nn.save_checkpoint(str(path), nn.model_tensors(state))
-    fresh = enc.init_encoder_state(ds, config, seed=99)
-    nn.load_model_params(fresh, nn.load_checkpoint(str(path)))
-    h1, _ = enc.encode_dataset(ds, config, state)
-    h2, _ = enc.encode_dataset(ds, config, fresh)
-    assert np.array_equal(h1, h2)
+class TestOperators:
+    @pytest.mark.parametrize("arch", [enc.ARCH_GCN, enc.ARCH_GIN])
+    def test_input_self_loops_are_ignored(self, arch):
+        feats = np.random.default_rng(3).normal(size=(4, 2))
+        edges = ((0, 1), (1, 2), (2, 3))
+        looped = ((0, 0), (0, 1), (1, 2), (2, 2), (2, 3))
+        ds = data.GraphDataset(
+            graphs=(
+                data.InputGraph(id=0, edges=edges, node_features=feats, label=0),
+                data.InputGraph(id=1, edges=looped, node_features=feats, label=1),
+            ),
+            num_classes=2, feature_scheme=data.DEGREE_ONEHOT, feature_dim=2,
+        )
+        plain, with_loops = enc.build_operators(ds, enc.EncoderConfig(arch=arch))
+        assert np.array_equal(plain, with_loops)
+        if arch == enc.ARCH_GCN:
+            oracle = dense_normalized_oracle(4, edges)
+            assert np.allclose(with_loops, oracle, atol=1e-15)
+        else:
+            assert np.all(np.diag(with_loops) == 0.0)
+
+    def test_layer_oracles_ignore_input_self_loops(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 2))
+        w = rng.normal(size=(2, 2))
+        mlp = (rng.normal(size=(2, 3)), rng.normal(size=3),
+               rng.normal(size=(3, 2)), rng.normal(size=2))
+        edges, looped = [(0, 1), (1, 2)], [(0, 1), (1, 1), (1, 2)]
+        assert np.array_equal(
+            enc.gcn_layer_forward(x, edges, w), enc.gcn_layer_forward(x, looped, w)
+        )
+        assert np.array_equal(
+            enc.gin_layer_forward(x, edges, mlp, 0.3),
+            enc.gin_layer_forward(x, looped, mlp, 0.3),
+        )
+
+    @pytest.mark.parametrize(
+        "arch, digest",
+        [
+            (enc.ARCH_GCN, "88ea19c790f502681f7f3bf6a4432f75efa8fb7a57fda06f34f322d4e073d21d"),
+            (enc.ARCH_GIN, "3efebea9c9e4028f5ae91a3fb02418549e6cf43e9aee32a67efeb002fa52ca78"),
+        ],
+    )
+    def test_loop_free_operators_keep_their_bytes(self, arch, digest):
+        # digests recorded from the operator build that preceded the
+        # self-loop rule: loop-free graphs must keep every bit
+        ds = data.make_planted_dataset(num_graphs=12, seed=3)
+        ops = enc.build_operators(ds, enc.EncoderConfig(arch=arch))
+        assert hashlib.sha256(b"".join(o.tobytes() for o in ops)).hexdigest() == digest

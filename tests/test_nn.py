@@ -133,38 +133,6 @@ class TestOptimizer:
             nn.optimizer_step(state, np.zeros(2))
 
 
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        tensors = {
-            "layer1.W": np.random.default_rng(0).normal(size=(3, 4)),
-            "layer1.b": np.arange(4.0),
-            "scalarish": np.array(2.5),
-        }
-        path = tmp_path / "ckpt.bin"
-        nn.save_checkpoint(str(path), tensors)
-        back = nn.load_checkpoint(str(path))
-        assert set(back) == set(tensors)
-        for name in tensors:
-            assert np.array_equal(back[name], tensors[name])
-
-    def test_version_byte_checked(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x63junk")
-        with pytest.raises(ValueError):
-            nn.load_checkpoint(str(path))
-
-    def test_model_state_round_trip(self, tmp_path):
-        spec = small_spec()
-        state = nn.init_model_state(spec, (5,))
-        tensors = nn.model_tensors(state)
-        path = tmp_path / "m.bin"
-        nn.save_checkpoint(str(path), tensors)
-        other = nn.init_model_state(spec, (6,))
-        assert not np.array_equal(other.params, state.params)
-        nn.load_model_params(other, nn.load_checkpoint(str(path)))
-        assert np.array_equal(other.params, state.params)
-
-
 @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=2, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_softmax_rows_sum_to_one(row):

@@ -29,7 +29,8 @@ class TestSampleGoG:
         s = sim_from([[0.0, 0.7], [0.7, 0.0]])
         alloc = DegreeAllocation(k=np.array([1, 1]), total=2)
         for mode in (sp.WITH_REPLACEMENT, sp.WITHOUT_REPLACEMENT):
-            gog = sp.sample_gog(s, alloc, sp.SamplerConfig(mode=mode, seed=3), 0)
+            config = sp.SamplerConfig(mode=mode, seed=3)
+            gog = sp.GoGSampler(s, alloc, config).sample(0)
             assert sorted(map(tuple, gog.edges.tolist())) == [
                 (0, 1, 1), (1, 0, 1),
             ]
@@ -39,9 +40,10 @@ class TestSampleGoG:
         np.fill_diagonal(s, 0.0)
         sim = sim_from(s)
         alloc = DegreeAllocation(k=np.array([4, 4, 4, 4, 4]), total=20)
-        gog = sp.sample_gog(
-            sim, alloc, sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=1), 7
-        )
+        gog = sp.GoGSampler(
+            sim, alloc,
+            sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=1),
+        ).sample(7)
         assert len(gog.edges) == 20
         assert np.all(gog.edges[:, 2] == 1)
         for i in range(5):
@@ -53,9 +55,10 @@ class TestSampleGoG:
         alloc = DegreeAllocation(k=np.full(8, 3), total=24)
         for mode in (sp.WITH_REPLACEMENT, sp.WITHOUT_REPLACEMENT):
             for stream in range(20):
-                gog = sp.sample_gog(
-                    sim, alloc, sp.SamplerConfig(mode=mode, seed=5), stream
-                )
+                gog = sp.GoGSampler(
+                    sim, alloc,
+                    sp.SamplerConfig(mode=mode, seed=5),
+                ).sample(stream)
                 assert np.all(gog.edges[:, 0] != gog.edges[:, 1])
 
     def test_out_degrees_match_allocation(self):
@@ -63,15 +66,17 @@ class TestSampleGoG:
         k = np.array([1, 2, 3, 4, 5, 2, 1])
         alloc = DegreeAllocation(k=k, total=int(k.sum()))
         for mode in (sp.WITH_REPLACEMENT, sp.WITHOUT_REPLACEMENT):
-            gog = sp.sample_gog(sim, alloc, sp.SamplerConfig(mode=mode, seed=9), 4)
+            config = sp.SamplerConfig(mode=mode, seed=9)
+            gog = sp.GoGSampler(sim, alloc, config).sample(4)
             assert np.array_equal(gog.out_degrees(), k)
 
     def test_distinct_neighbors_without_replacement(self):
         sim = random_similarity(6, seed=4)
         alloc = DegreeAllocation(k=np.full(6, 4), total=24)
-        gog = sp.sample_gog(
-            sim, alloc, sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=2), 0
-        )
+        gog = sp.GoGSampler(
+            sim, alloc,
+            sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=2),
+        ).sample(0)
         pairs = set(map(tuple, gog.edges[:, :2].tolist()))
         assert len(pairs) == len(gog.edges)
 
@@ -79,7 +84,7 @@ class TestSampleGoG:
         sim = random_similarity(6, seed=5)
         alloc = DegreeAllocation(k=np.full(6, 2), total=12)
         config = sp.SamplerConfig(mode=sp.WITH_REPLACEMENT, seed=11)
-        direct = sp.sample_gog(sim, alloc, config, 5)
+        direct = sp.GoGSampler(sim, alloc, config).sample(5)
         sampler = sp.GoGSampler(sim, alloc, config)
         for other in (0, 1, 2, 3, 4):
             sampler.sample(other)
@@ -93,14 +98,14 @@ class TestSampleGoG:
         sim = random_similarity(5, seed=6, zero_rows=(3,))
         alloc = DegreeAllocation(k=np.full(5, 2), total=10)
         with pytest.raises(DegenerateRowError, match="node 3"):
-            sp.sample_gog(sim, alloc, sp.SamplerConfig(seed=0), 0)
+            sp.GoGSampler(sim, alloc, sp.SamplerConfig(seed=0)).sample(0)
 
     def test_unzeroed_diagonal_rejected(self):
         s = np.array([[1.0, 0.5], [0.5, 1.0]])
         sim = SimilarityMatrix(S=s, diagonal_zeroed=False)
         alloc = DegreeAllocation(k=np.array([1, 1]), total=2)
         with pytest.raises(ValueError, match="diagonal"):
-            sp.sample_gog(sim, alloc, sp.SamplerConfig(seed=0), 0)
+            sp.GoGSampler(sim, alloc, sp.SamplerConfig(seed=0)).sample(0)
 
     def test_support_clamp_warns_and_reduces(self, caplog):
         s = np.zeros((3, 3))
@@ -110,10 +115,10 @@ class TestSampleGoG:
         sim = sim_from(s)
         alloc = DegreeAllocation(k=np.array([2, 2, 2], dtype=np.int64), total=6)
         with caplog.at_level(logging.WARNING):
-            gog = sp.sample_gog(
+            gog = sp.GoGSampler(
                 sim, alloc,
-                sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=1), 0,
-            )
+                sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=1),
+            ).sample(0)
         assert "support" in caplog.text
         assert gog.out_degrees().tolist() == [1, 2, 1]
 
@@ -217,14 +222,13 @@ class TestEmpiricalInclusion:
 def test_gog_dump_round_trip(tmp_path):
     sim = random_similarity(5, seed=12)
     alloc = DegreeAllocation(k=np.full(5, 2), total=10)
-    gog = sp.sample_gog(sim, alloc, sp.SamplerConfig(seed=4), 9)
+    gog = sp.GoGSampler(sim, alloc, sp.SamplerConfig(seed=4)).sample(9)
     path = tmp_path / "gog.txt"
     sp.dump_gog(gog, str(path))
-    back = sp.load_gog(str(path))
-    assert back.num_nodes == gog.num_nodes
-    assert back.mode == gog.mode
-    assert back.stream_key == gog.stream_key
-    assert np.array_equal(back.edges, gog.edges)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"{gog.num_nodes} {gog.mode} {gog.stream_key}"
+    rows = [[int(t) for t in line.split()] for line in lines[1:]]
+    assert np.array_equal(np.array(rows, dtype=np.int64), gog.edges)
 
 
 def test_gog_rejects_self_edges():

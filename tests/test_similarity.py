@@ -86,17 +86,6 @@ class TestSimilarityMatrix:
         eigs = np.linalg.eigvalsh(s.S)
         assert eigs.min() >= -1e-9
 
-    def test_dump_round_trips_at_17_digits(self, tmp_path):
-        p = sim.ProbMatrix(
-            P=np.array([[0.6, 0.4], [0.123456789, 0.876543211]]),
-            labeled_mask=np.array([False, False]),
-        )
-        s = sim.similarity_matrix(p)
-        path = tmp_path / "s.txt"
-        sim.dump_similarity(s, str(path))
-        loaded = np.loadtxt(str(path))
-        assert np.array_equal(loaded, s.S)
-
 
 class TestHomophilyProb:
     def test_all_same_label_is_one(self):
