@@ -23,7 +23,6 @@ from .downstream import (
     GoGClassifierConfig,
     MetricsReport,
     PipelineResult,
-    TrainState,
     compute_metrics,
     downstream_forward,
     train_encoder_baseline,

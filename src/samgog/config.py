@@ -65,7 +65,6 @@ _SCHEMA: dict[str, tuple[type, object]] = {
     "downstream.num_layers": (int, 2),
     "downstream.hidden_dim": (int, 64),
     "downstream.dropout": (float, 0.0),
-    "downstream.symmetrize": (bool, True),
     "downstream.lr": (float, 0.01),
     "optimizer": (str, "adam"),
     "lr_schedule": (str, "constant"),
@@ -134,7 +133,6 @@ class ExperimentConfig:
             num_layers=v["downstream.num_layers"],
             hidden_dim=v["downstream.hidden_dim"],
             dropout=v["downstream.dropout"],
-            symmetrize=v["downstream.symmetrize"],
         )
 
 

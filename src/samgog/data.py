@@ -18,7 +18,8 @@ from .rng import generator
 
 NODE_LABEL_ONEHOT = "node-label-onehot"
 DEGREE_ONEHOT = "degree-onehot"
-FEATURE_SCHEMES = (NODE_LABEL_ONEHOT, DEGREE_ONEHOT)
+FEATURE_SCHEMES = (NODE_LABEL_ONEHOT, DEGREE_ONEHOT)  # built by build_features
+PLANTED_GAUSSIAN = "planted-gaussian"  # make_planted_dataset's own features
 
 DEFAULT_DEGREE_CAP = 256
 
@@ -59,6 +60,8 @@ class InputGraph:
 
     def __post_init__(self):
         n = self.node_features.shape[0]
+        if n == 0:
+            raise IntegrityError(f"graph {self.id} has no nodes")
         seen = set()
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -96,7 +99,7 @@ class GraphDataset:
     feature_dim: int
 
     def __post_init__(self):
-        if self.feature_scheme not in FEATURE_SCHEMES:
+        if self.feature_scheme not in (*FEATURE_SCHEMES, PLANTED_GAUSSIAN):
             raise FeatureConfigError(f"unknown feature scheme {self.feature_scheme!r}")
         for g in self.graphs:
             if g.node_features.shape[1] != self.feature_dim:
@@ -260,8 +263,6 @@ def parse_tudataset(
     graphs = []
     for gid in range(num_graphs):
         n = int(counts[gid])
-        if n == 0:
-            raise IntegrityError(f"graph {gid + 1} has no nodes")
         if node_labels_raw is not None:
             members = order[starts[gid] : starts[gid] + counts[gid]]
             nl = tuple(node_labels_raw[int(m)] for m in members)
@@ -596,7 +597,7 @@ def make_planted_dataset(
     return GraphDataset(
         graphs=tuple(graphs),
         num_classes=2,
-        feature_scheme=DEGREE_ONEHOT,
+        feature_scheme=PLANTED_GAUSSIAN,
         feature_dim=feature_dim,
     )
 

@@ -3,10 +3,10 @@ metrics, and the full training pipeline.
 
 The downstream model is a plain GCN over GoG nodes whose input features are
 the encoder's graph embeddings.  Edge multiplicities act as weights; the
-adjacency is optionally symmetrized, gets self-loops, and is degree
-normalized.  Encoder and downstream model train on separate losses with
-separate optimizers; sampled structure is a constant input to the
-downstream model.
+sampled edges are symmetrized, get self-loops, and are degree normalized
+into the sparse operator the encoder also uses.  Encoder and downstream
+model train on separate losses with separate optimizers; sampled structure
+is a constant input to the downstream model.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .encoder import supervised_loss_and_grad as encoder_loss_and_grad
 from .nn import (
     ModelState,
     ParamSpec,
+    SymmetricOperator,
     TrainingError,
     cross_entropy_and_dlogits,
     init_model_state,
-    normalize_adjacency,
     optimizer_step,
     propagate_backward,
     propagate_forward,
@@ -47,7 +47,6 @@ class GoGClassifierConfig:
     num_layers: int = 2
     hidden_dim: int = 64
     dropout: float = 0.0
-    symmetrize: bool = True
 
     def __post_init__(self):
         if self.num_layers < 1 or self.hidden_dim < 1:
@@ -67,27 +66,6 @@ class MetricsReport:
     edge_homophily_mean: float
     edge_homophily_std: float
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "balanced_accuracy": self.balanced_accuracy,
-            "macro_f1": self.macro_f1,
-            "per_class_accuracy": list(self.per_class_accuracy),
-            "head_accuracy": self.head_accuracy,
-            "tail_accuracy": self.tail_accuracy,
-            "edge_homophily_mean": self.edge_homophily_mean,
-            "edge_homophily_std": self.edge_homophily_std,
-        }
-
-
-@dataclass
-class TrainState:
-    encoder: ModelState
-    downstream: ModelState
-    epoch: int = 0
-    samples_per_epoch: int = 1
-    seed: int = 0
-
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -100,7 +78,8 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    state: TrainState
+    encoder: ModelState
+    downstream: ModelState
     metrics: MetricsReport
     curve: tuple[CurvePoint, ...] = field(default=())
     final_gogs: tuple[GoGGraph, ...] = field(default=())
@@ -140,19 +119,11 @@ def init_downstream_state(
     )
 
 
-def gog_propagation_matrix(gog: GoGGraph, symmetrize: bool) -> np.ndarray:
-    """Multiplicity-weighted adjacency, optionally symmetrized, with
-    self-loops and symmetric degree normalization."""
-    w = gog.count_matrix()
-    if symmetrize:
-        w = w + w.T
-    return normalize_adjacency(w)
-
-
-def full_propagation_matrix(sim_s: np.ndarray) -> np.ndarray:
-    """Normalized propagation over the complete similarity-weighted graph,
-    the reference the sampled structures approximate."""
-    return normalize_adjacency(sim_s)
+def gog_propagation_matrix(gog: GoGGraph) -> SymmetricOperator:
+    """D^{-1/2} (W + W^T + I) D^{-1/2}, W the multiplicity-weighted adjacency
+    of the sampled edges."""
+    e = gog.edges
+    return SymmetricOperator(gog.num_nodes, e[:, 0], e[:, 1], e[:, 2], normalize=True)
 
 
 def _downstream_forward(prop, h, views, config, rng, train):
@@ -175,7 +146,7 @@ def _downstream_forward(prop, h, views, config, rng, train):
 
 
 def downstream_forward(
-    prop: np.ndarray,
+    prop: SymmetricOperator,
     h: np.ndarray,
     state: ModelState,
     config: GoGClassifierConfig,
@@ -188,7 +159,7 @@ def downstream_forward(
 
 
 def downstream_loss_and_grad(
-    prop: np.ndarray,
+    prop: SymmetricOperator,
     h: np.ndarray,
     state: ModelState,
     config: GoGClassifierConfig,
@@ -209,7 +180,7 @@ def downstream_loss_and_grad(
         cache, mask = caches[layer - 1]
         if mask is not None:
             dx = dx * mask
-        dx, dw, db = propagate_backward(cache, dx)
+        dx, dw, db = propagate_backward(cache, dx, input_grad=layer > 1)
         grad_views[f"gog{layer}.W"] += dw
         grad_views[f"gog{layer}.b"] += db
     return loss, grad, logits
@@ -300,7 +271,7 @@ def _mean_eval_logits(sampler, h, state, config, stream_base, count):
     for j in range(count):
         gog = sampler.sample(stream_base + j)
         gogs.append(gog)
-        prop = gog_propagation_matrix(gog, config.symmetrize)
+        prop = gog_propagation_matrix(gog)
         logits = downstream_forward(prop, h, state, config, train=False)
         acc = logits if acc is None else acc + logits
     return acc / count, gogs
@@ -358,7 +329,7 @@ def train_full_pipeline(
     train_mask = train_only >= 0
 
     allocation = allocate_degrees(split, dataset, alloc_config)
-    ops = build_operators(dataset, encoder_config)
+    op = build_operators(dataset, encoder_config)
 
     enc_state = init_encoder_state(
         dataset, encoder_config, seed,
@@ -369,11 +340,6 @@ def train_full_pipeline(
         seed, optimizer=optimizer, learning_rate=downstream_lr,
         schedule=lr_schedule,
     )
-    state = TrainState(
-        encoder=enc_state, downstream=down_state,
-        samples_per_epoch=t, seed=seed,
-    )
-
     val_list = list(split.val_idx)
     best = {
         "score": -np.inf,
@@ -387,11 +353,11 @@ def train_full_pipeline(
         with np.errstate(all="ignore"):
             enc_loss, enc_grad, h, logits = encoder_loss_and_grad(
                 dataset, encoder_config, enc_state, train_only, train_list,
-                train=True, ops=ops,
+                train=True, op=op,
             )
             if encoder_config.dropout > 0.0:
                 # similarity must come from a dropout-free pass
-                h, logits = encode_dataset(dataset, encoder_config, enc_state, ops=ops)
+                h, logits = encode_dataset(dataset, encoder_config, enc_state, op=op)
         _check_finite(f"encoder step at epoch {epoch}", enc_loss, enc_grad, h, logits)
         prob = build_prob_matrix(logits, train_only, train_mask)
         sim = similarity_matrix(prob, zero_diagonal=True)
@@ -402,7 +368,7 @@ def train_full_pipeline(
         homo_vals = []
         for j in range(t):
             gog = sampler.sample(epoch * t + j)
-            prop = gog_propagation_matrix(gog, downstream_config.symmetrize)
+            prop = gog_propagation_matrix(gog)
             with np.errstate(all="ignore"):
                 loss_j, grad_j, _ = downstream_loss_and_grad(
                     prop, h, down_state, downstream_config,
@@ -447,14 +413,13 @@ def train_full_pipeline(
                 else float("nan"),
             )
         )
-        state.epoch = epoch
 
     # restore the selected parameters and evaluate on test indices
     enc_state.params[...] = best["encoder"]
     down_state.params[...] = best["downstream"]
     final = f"final evaluation with the parameters of epoch {best['epoch']}"
     with np.errstate(all="ignore"):
-        h, logits = encode_dataset(dataset, encoder_config, enc_state, ops=ops)
+        h, logits = encode_dataset(dataset, encoder_config, enc_state, op=op)
     _check_finite(final, h, logits)
     prob = build_prob_matrix(logits, train_only, train_mask)
     sim = similarity_matrix(prob, zero_diagonal=True)
@@ -489,8 +454,8 @@ def train_full_pipeline(
         edge_homophily_std=float(np.std(homos)) if homos else float("nan"),
     )
     return PipelineResult(
-        state=state, metrics=metrics, curve=tuple(curve),
-        final_gogs=tuple(eval_gogs),
+        encoder=enc_state, downstream=down_state, metrics=metrics,
+        curve=tuple(curve), final_gogs=tuple(eval_gogs),
     )
 
 
@@ -509,7 +474,7 @@ def train_encoder_baseline(
     observable = labels_with_test_masked(dataset, split)
     train_list = list(split.train_idx)
     val_list = list(split.val_idx)
-    ops = build_operators(dataset, encoder_config)
+    op = build_operators(dataset, encoder_config)
     enc_state = init_encoder_state(
         dataset, encoder_config, seed,
         optimizer=optimizer, learning_rate=learning_rate,
@@ -520,13 +485,13 @@ def train_encoder_baseline(
         with np.errstate(all="ignore"):
             loss, grad, _, _ = encoder_loss_and_grad(
                 dataset, encoder_config, enc_state, observable, train_list,
-                train=True, ops=ops,
+                train=True, op=op,
             )
         _check_finite(f"encoder step at epoch {epoch}", loss, grad)
         optimizer_step(enc_state, grad)
         if val_list:
             with np.errstate(all="ignore"):
-                _, logits = encode_dataset(dataset, encoder_config, enc_state, ops=ops)
+                _, logits = encode_dataset(dataset, encoder_config, enc_state, op=op)
             _check_finite(f"validation forward at epoch {epoch}", logits)
             score = compute_metrics(
                 logits[val_list].argmax(axis=1), observable[val_list],
@@ -539,7 +504,7 @@ def train_encoder_baseline(
             best_params = enc_state.params.copy()
 
     enc_state.params[...] = best_params
-    _, logits = encode_dataset(dataset, encoder_config, enc_state, ops=ops)
+    _, logits = encode_dataset(dataset, encoder_config, enc_state, op=op)
     labels_true = dataset.labels()
     test_list = list(split.test_idx)
     predictions = logits[test_list].argmax(axis=1)

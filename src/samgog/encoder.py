@@ -1,10 +1,12 @@
-"""Per-graph GNN encoder (GCN or GIN) producing graph embeddings and
+"""Batched GNN encoder (GCN or GIN) producing graph embeddings and
 classification logits, with hand-derived reverse-mode gradients.
 
 The architecture is fixed: ``num_layers`` propagation layers, mean or sum
 readout, then a linear+ReLU+linear head to class logits.  GCN layers apply
 ReLU(A_hat X W) with symmetric self-loop normalization; GIN layers apply a
-two-layer MLP to (1 + eps) x + sum of neighbor features.
+two-layer MLP to (1 + eps) x + sum of neighbor features.  All graphs share one
+block-diagonal ``SymmetricOperator`` over their stacked nodes, so every layer
+is one pass over the whole dataset.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .data import GraphDataset
 from .nn import (
     ModelState,
     ParamSpec,
+    SymmetricOperator,
     cross_entropy_and_dlogits,
     init_model_state,
     mlp2_backward,
@@ -106,14 +109,20 @@ def _adjacency(n: int, edges) -> np.ndarray:
     return a
 
 
-def build_operators(dataset: GraphDataset, config: EncoderConfig) -> list[np.ndarray]:
-    """Per-graph propagation matrices: normalized with self-loops for GCN,
-    the raw adjacency for GIN."""
-    ops = []
-    for g in dataset.graphs:
-        a = _adjacency(g.size, g.edges)
-        ops.append(normalize_adjacency(a) if config.arch == ARCH_GCN else a)
-    return ops
+def build_operators(dataset: GraphDataset, config: EncoderConfig) -> SymmetricOperator:
+    """One block-diagonal operator over every graph's nodes, stacked in graph
+    order: D^{-1/2} (A + I) D^{-1/2} for GCN, A + (1 + eps) I for GIN.  Input
+    self-loops are dropped, as in ``_adjacency``."""
+    sizes = dataset.sizes()
+    edges = np.concatenate(
+        [np.array(g.edges, dtype=np.int64).reshape(-1, 2) + off
+         for g, off in zip(dataset.graphs, np.cumsum(sizes) - sizes)]
+    )
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    gcn = config.arch == ARCH_GCN
+    diagonal = 1.0 if gcn else 1.0 + config.epsilon_gin
+    return SymmetricOperator(int(sizes.sum()), edges[:, 0], edges[:, 1], 1.0,
+                             diagonal=diagonal, normalize=gcn)
 
 
 # ---------------------------------------------------------------------------
@@ -148,40 +157,34 @@ def _dropout_mask(rng, shape, p):
     return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
 
 
-def _forward(dataset, config, views, rng, train, ops):
-    """Returns (H, logits, cache).  Dropout draws come from ``rng`` in graph
-    order, so a single-threaded pass is deterministic given the stream."""
-    if ops is None:
-        ops = build_operators(dataset, config)
+def _forward(dataset, config, views, rng, train, op):
+    """Returns (H, logits, cache).  Each layer is one pass over every graph's
+    nodes; its dropout mask is one draw from ``rng`` over all of them."""
+    if op is None:
+        op = build_operators(dataset, config)
     p = config.dropout if train else 0.0
-    graph_caches = []
-    rows = []
-    for g, prop in zip(dataset.graphs, ops):
-        x = g.node_features
-        layer_caches = []
-        for layer in range(1, config.num_layers + 1):
-            if config.arch == ARCH_GCN:
-                w = views[f"layer{layer}.W"]
-                x, cache = propagate_forward(prop, x, w, activation=True)
-            else:
-                w1 = views[f"layer{layer}.W1"]
-                b1 = views[f"layer{layer}.b1"]
-                w2 = views[f"layer{layer}.W2"]
-                b2 = views[f"layer{layer}.b2"]
-                agg = (1.0 + config.epsilon_gin) * x + prop @ x
-                x, cache = mlp2_forward(agg, w1, b1, w2, b2)
-            mask = None
-            if p > 0.0:
-                mask = _dropout_mask(rng, x.shape, p)
-                x = x * mask
-            layer_caches.append((cache, mask))
-        if config.readout == READOUT_MEAN:
-            rows.append(x.mean(axis=0))
+    sizes = dataset.sizes()
+    x = np.vstack([g.node_features for g in dataset.graphs])
+    layer_caches = []
+    for layer in range(1, config.num_layers + 1):
+        if config.arch == ARCH_GCN:
+            w = views[f"layer{layer}.W"]
+            x, cache = propagate_forward(op, x, w, activation=True)
         else:
-            rows.append(x.sum(axis=0))
-        graph_caches.append((prop, x.shape[0], layer_caches))
+            w1 = views[f"layer{layer}.W1"]
+            b1 = views[f"layer{layer}.b1"]
+            w2 = views[f"layer{layer}.W2"]
+            b2 = views[f"layer{layer}.b2"]
+            x, cache = mlp2_forward(op @ x, w1, b1, w2, b2)
+        mask = None
+        if p > 0.0:
+            mask = _dropout_mask(rng, x.shape, p)
+            x = x * mask
+        layer_caches.append((cache, mask))
+    h = np.add.reduceat(x, np.cumsum(sizes) - sizes, axis=0)
+    if config.readout == READOUT_MEAN:
+        h = h / sizes[:, None]
 
-    h = np.vstack(rows)
     w1, b1 = views["head.W1"], views["head.b1"]
     w2, b2 = views["head.W2"], views["head.b2"]
     z1 = h @ w1 + b1
@@ -193,12 +196,12 @@ def _forward(dataset, config, views, rng, train, ops):
     else:
         r1_dropped = r1
     logits = r1_dropped @ w2 + b2
-    cache = (graph_caches, h, z1, r1_dropped, head_mask)
+    cache = (op, sizes, layer_caches, h, z1, r1_dropped, head_mask)
     return h, logits, cache
 
 
 def _backward(config, views, cache, dlogits, grad_views):
-    graph_caches, h, z1, r1_dropped, head_mask = cache
+    op, sizes, layer_caches, h, z1, r1_dropped, head_mask = cache
     w1, w2 = views["head.W1"], views["head.W2"]
 
     grad_views["head.W2"] += r1_dropped.T @ dlogits
@@ -211,25 +214,24 @@ def _backward(config, views, cache, dlogits, grad_views):
     grad_views["head.b1"] += dz1.sum(axis=0)
     dh = dz1 @ w1.T
 
-    for gi, (prop, n, layer_caches) in enumerate(graph_caches):
-        if config.readout == READOUT_MEAN:
-            dx = np.tile(dh[gi] / n, (n, 1))
+    if config.readout == READOUT_MEAN:
+        dh = dh / sizes[:, None]
+    dx = np.repeat(dh, sizes, axis=0)
+    for layer in range(config.num_layers, 0, -1):
+        layer_cache, mask = layer_caches[layer - 1]
+        if mask is not None:
+            dx = dx * mask
+        if config.arch == ARCH_GCN:
+            dx, dw, _ = propagate_backward(layer_cache, dx, input_grad=layer > 1)
+            grad_views[f"layer{layer}.W"] += dw
         else:
-            dx = np.tile(dh[gi], (n, 1))
-        for layer in range(config.num_layers, 0, -1):
-            layer_cache, mask = layer_caches[layer - 1]
-            if mask is not None:
-                dx = dx * mask
-            if config.arch == ARCH_GCN:
-                dx, dw, _ = propagate_backward(layer_cache, dx)
-                grad_views[f"layer{layer}.W"] += dw
-            else:
-                dagg, dw1, db1, dw2, db2 = mlp2_backward(layer_cache, dx)
-                grad_views[f"layer{layer}.W1"] += dw1
-                grad_views[f"layer{layer}.b1"] += db1
-                grad_views[f"layer{layer}.W2"] += dw2
-                grad_views[f"layer{layer}.b2"] += db2
-                dx = (1.0 + config.epsilon_gin) * dagg + prop.T @ dagg
+            dagg, dw1, db1, dw2, db2 = mlp2_backward(layer_cache, dx)
+            grad_views[f"layer{layer}.W1"] += dw1
+            grad_views[f"layer{layer}.b1"] += db1
+            grad_views[f"layer{layer}.W2"] += dw2
+            grad_views[f"layer{layer}.b2"] += db2
+            if layer > 1:
+                dx = op @ dagg
 
 
 def encode_dataset(
@@ -237,10 +239,10 @@ def encode_dataset(
     config: EncoderConfig,
     state: ModelState,
     train: bool = False,
-    ops: list[np.ndarray] | None = None,
+    op: SymmetricOperator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Graph embeddings H (N x hidden) and class logits (N x C)."""
-    h, logits, _ = _forward(dataset, config, state.views(), state.rng, train, ops)
+    h, logits, _ = _forward(dataset, config, state.views(), state.rng, train, op)
     return h, logits
 
 
@@ -251,7 +253,7 @@ def supervised_loss_and_grad(
     labels: np.ndarray,
     labeled_idx,
     train: bool = True,
-    ops: list[np.ndarray] | None = None,
+    op: SymmetricOperator | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Mean cross-entropy over the labeled graphs and its gradient with
     respect to every encoder and head parameter.
@@ -260,7 +262,7 @@ def supervised_loss_and_grad(
     pass that produced the gradient.
     """
     views = state.views()
-    h, logits, cache = _forward(dataset, config, views, state.rng, train, ops)
+    h, logits, cache = _forward(dataset, config, views, state.rng, train, op)
     loss, dlogits = cross_entropy_and_dlogits(
         logits, np.asarray(labels), np.asarray(labeled_idx)
     )

@@ -93,13 +93,51 @@ def cross_entropy_and_dlogits(
 
 
 # ---------------------------------------------------------------------------
-# Dense propagation layers (shared by the encoder and the GoG classifier)
+# Propagation layers (shared by the encoder and the GoG classifier)
 # ---------------------------------------------------------------------------
+
+
+class SymmetricOperator:
+    """Sparse symmetric operator ``A + c I`` over ``n`` nodes in CSR form.
+
+    ``A`` holds every weighted edge ``(src, dst, weight)`` in both
+    directions; repeated pairs add.  With ``normalize`` the operator is
+    ``D^{-1/2} (A + c I) D^{-1/2}``, ``D`` its row sums.  Every row stores its
+    diagonal entry, so no row segment is empty and ``op @ x`` is one
+    ``np.add.reduceat``; the operator is its own transpose.
+    """
+
+    def __init__(self, n: int, src, dst, weight, diagonal: float = 1.0,
+                 normalize: bool = False):
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        weight = np.broadcast_to(np.asarray(weight, dtype=np.float64), src.shape)
+        nodes = np.arange(n)
+        rows = np.concatenate((nodes, src, dst))
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        self.cols = np.concatenate((nodes, dst, src))[order]
+        vals = np.concatenate((np.full(n, float(diagonal)), weight, weight))[order]
+        if normalize:
+            inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, vals, minlength=n))
+            vals = vals * inv_sqrt[rows] * inv_sqrt[self.cols]
+        self.vals = vals
+        self.starts = np.searchsorted(rows, nodes)
+
+    @property
+    def nbytes(self) -> int:
+        return self.cols.nbytes + self.vals.nbytes + self.starts.nbytes
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        gathered = np.take(x, self.cols, axis=0)
+        gathered *= self.vals[:, None]
+        return np.add.reduceat(gathered, self.starts, axis=0)
 
 
 def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization D^{-1/2} (A + I) D^{-1/2} of a
-    nonnegative adjacency; the self-loop keeps every degree >= 1."""
+    nonnegative adjacency; the self-loop keeps every degree >= 1.  The dense
+    reference for ``SymmetricOperator(..., normalize=True)``."""
     a = adj.astype(np.float64, copy=True)
     a[np.diag_indices_from(a)] += 1.0
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
@@ -107,13 +145,14 @@ def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
 
 
 def propagate_forward(
-    prop: np.ndarray,
+    prop,
     x: np.ndarray,
     w: np.ndarray,
     activation: bool,
     bias: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple]:
-    """One graph-convolution layer out = [relu](prop @ x @ w [+ b]) with cache."""
+    """One graph-convolution layer out = [relu](prop @ x @ w [+ b]) with cache;
+    ``prop`` is symmetric (a ``SymmetricOperator`` or its dense oracle)."""
     px = prop @ x
     z = px @ w
     if bias is not None:
@@ -122,13 +161,14 @@ def propagate_forward(
     return out, (prop, px, z if activation else None, w, bias is not None)
 
 
-def propagate_backward(cache: tuple, dout: np.ndarray):
-    """Gradients (dx, dw, db) for propagate_forward; db is None without bias."""
+def propagate_backward(cache: tuple, dout: np.ndarray, input_grad: bool = True):
+    """Gradients (dx, dw, db) for propagate_forward; db is None without bias
+    and dx is None without ``input_grad`` (a first layer's input is data)."""
     prop, px, z, w, has_bias = cache
     dz = dout * (z > 0) if z is not None else dout
     dw = px.T @ dz
     db = dz.sum(axis=0) if has_bias else None
-    dx = prop.T @ (dz @ w.T)
+    dx = prop @ (dz @ w.T) if input_grad else None
     return dx, dw, db
 
 

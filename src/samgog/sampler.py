@@ -66,12 +66,6 @@ class GoGGraph:
             np.add.at(deg, self.edges[:, 0], self.edges[:, 2])
         return deg
 
-    def count_matrix(self) -> np.ndarray:
-        m = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
-        if self.edges.size:
-            m[self.edges[:, 0], self.edges[:, 1]] = self.edges[:, 2]
-        return m
-
 
 class GoGSampler:
     """Prepared sampler over one similarity matrix and allocation; reuse it

@@ -25,12 +25,11 @@ from .degree_alloc import (
 from .downstream import (
     GoGClassifierConfig,
     downstream_loss_and_grad,
-    full_propagation_matrix,
     gog_propagation_matrix,
     init_downstream_state,
     _downstream_forward,
 )
-from .nn import SCHEDULE_INVERSE, optimizer_step
+from .nn import SCHEDULE_INVERSE, SymmetricOperator, optimizer_step
 from .rng import generator, mix
 from .sampler import (
     GoGSampler,
@@ -267,7 +266,9 @@ def check_variance_decay(
         raise ValueError("variance estimation needs at least 2 replicates")
     sim, alloc, h, labels, labeled_idx = _variance_task(seed)
     config = GoGClassifierConfig(num_layers=2, hidden_dim=8)
-    full_prop = full_propagation_matrix(sim.S)
+    # the complete similarity-weighted graph the sampled structures approximate
+    iu, ju = np.triu_indices(sim.num_nodes, 1)
+    full_prop = SymmetricOperator(sim.num_nodes, iu, ju, sim.S[iu, ju], normalize=True)
 
     variances = []
     for t in t_values:
@@ -285,7 +286,7 @@ def check_variance_decay(
                 grad_sum = None
                 for j in range(t):
                     gog = sampler.sample(epoch * t + j)
-                    prop = gog_propagation_matrix(gog, config.symmetrize)
+                    prop = gog_propagation_matrix(gog)
                     _, grad, _ = downstream_loss_and_grad(
                         prop, h, state, config, labels, labeled_idx, train=False
                     )

@@ -264,7 +264,7 @@ def test_criterion_08_gradient_checks():
         ),
         num_nodes=6, mode=sp.WITH_REPLACEMENT,
     )
-    prop = dm.gog_propagation_matrix(gog, symmetrize=True)
+    prop = dm.gog_propagation_matrix(gog)
     glabels = np.array([0, 1, 0, 1, 0, 1])
     glabeled = np.arange(4)
     _, dgrad, _ = dm.downstream_loss_and_grad(

@@ -62,9 +62,9 @@ class TestConfigParsing:
 
     def test_bool_values(self):
         cfg = config.parse_config_text(
-            GOOD_CONFIG + "\ndownstream.symmetrize = false\n"
+            GOOD_CONFIG + "\nalloc.per_capita_class_split = true\n"
         )
-        assert cfg.downstream_config().symmetrize is False
+        assert cfg.alloc_config().per_capita_class_split is True
 
 
 class TestRunExperiment:
@@ -236,6 +236,7 @@ class TestOtherSubcommands:
         stats = json.loads(capsys.readouterr().out)
         assert stats["num_graphs"] == 30
         assert stats["num_classes"] == 2
+        assert stats["feature_scheme"] == "planted-gaussian"
 
     def test_split_file_feeds_training(self, tmp_path):
         cfg_path = self.write_config(tmp_path)

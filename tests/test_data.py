@@ -51,6 +51,15 @@ class TestParser:
         assert [g.label for g in ds.graphs] == [0, 1]
         assert ds.num_classes == 2
 
+    def test_graph_without_nodes_rejected(self, tmp_path):
+        (tmp_path / "E_A.txt").write_text("1, 2\n")
+        (tmp_path / "E_graph_indicator.txt").write_text("1\n1\n")
+        (tmp_path / "E_graph_labels.txt").write_text("0\n1\n")
+        with pytest.raises(data.IntegrityError, match="graph 1 has no nodes"):
+            data.parse_tudataset(str(tmp_path), "E")
+        with pytest.raises(data.IntegrityError, match="graph 0 has no nodes"):
+            data.make_planted_dataset(num_graphs=2, min_nodes=0, max_nodes=0)
+
     def test_round_trip_reproduces_structure(self, tmp_path):
         rng = np.random.default_rng(7)
         graphs = []

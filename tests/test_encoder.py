@@ -28,6 +28,13 @@ def dense_normalized_oracle(n, edges):
     return out
 
 
+def dense_blocks(ds, op):
+    """Each graph's diagonal block of the batched operator, densified."""
+    dense = op @ np.eye(int(ds.sizes().sum()))
+    ends = np.cumsum(ds.sizes())
+    return [dense[e - n : e, e - n : e] for e, n in zip(ends, ds.sizes())]
+
+
 def tiny_dataset(num_graphs=3, feature_dim=3, seed=0):
     rng = np.random.default_rng(seed)
     graphs = []
@@ -167,6 +174,24 @@ class TestEncodeDataset:
             assert np.allclose(logits[gi], z @ views["head.W2"] + views["head.b2"],
                                atol=1e-12)
 
+    def test_gin_matches_layer_by_layer_composition(self):
+        ds = tiny_dataset(num_graphs=3, feature_dim=3, seed=7)
+        config = enc.EncoderConfig(arch=enc.ARCH_GIN, num_layers=2, hidden_dim=4,
+                                   epsilon_gin=0.3)
+        state = enc.init_encoder_state(ds, config, seed=11)
+        views = state.views()
+        h, logits = enc.encode_dataset(ds, config, state)
+        for gi, g in enumerate(ds.graphs):
+            x = g.node_features
+            for layer in (1, 2):
+                mlp = tuple(views[f"layer{layer}.{k}"] for k in ("W1", "b1", "W2", "b2"))
+                x = enc.gin_layer_forward(x, g.edges, mlp, 0.3)
+            h_row = x.mean(axis=0)
+            assert np.allclose(h[gi], h_row, atol=1e-12)
+            z = np.maximum(h_row @ views["head.W1"] + views["head.b1"], 0.0)
+            assert np.allclose(logits[gi], z @ views["head.W2"] + views["head.b2"],
+                               atol=1e-12)
+
     def test_sum_readout(self):
         ds = tiny_dataset(num_graphs=2, seed=8)
         config = enc.EncoderConfig(readout=enc.READOUT_SUM, hidden_dim=3)
@@ -279,13 +304,14 @@ class TestOperators:
             ),
             num_classes=2, feature_scheme=data.DEGREE_ONEHOT, feature_dim=2,
         )
-        plain, with_loops = enc.build_operators(ds, enc.EncoderConfig(arch=arch))
+        op = enc.build_operators(ds, enc.EncoderConfig(arch=arch))
+        plain, with_loops = dense_blocks(ds, op)
         assert np.array_equal(plain, with_loops)
         if arch == enc.ARCH_GCN:
             oracle = dense_normalized_oracle(4, edges)
             assert np.allclose(with_loops, oracle, atol=1e-15)
         else:
-            assert np.all(np.diag(with_loops) == 0.0)
+            assert np.all(np.diag(with_loops) == 1.0)  # the (1 + eps) x term
 
     def test_layer_oracles_ignore_input_self_loops(self):
         rng = np.random.default_rng(6)
@@ -310,8 +336,12 @@ class TestOperators:
         ],
     )
     def test_loop_free_operators_keep_their_bytes(self, arch, digest):
-        # digests recorded from the operator build that preceded the
-        # self-loop rule: loop-free graphs must keep every bit
+        # digests recorded from the dense per-graph operators that preceded
+        # the self-loop rule (GIN's held the adjacency A alone): loop-free
+        # graphs must keep every bit
         ds = data.make_planted_dataset(num_graphs=12, seed=3)
-        ops = enc.build_operators(ds, enc.EncoderConfig(arch=arch))
-        assert hashlib.sha256(b"".join(o.tobytes() for o in ops)).hexdigest() == digest
+        config = enc.EncoderConfig(arch=arch)
+        blocks = dense_blocks(ds, enc.build_operators(ds, config))
+        if arch == enc.ARCH_GIN:
+            blocks = [b - (1.0 + config.epsilon_gin) * np.eye(len(b)) for b in blocks]
+        assert hashlib.sha256(b"".join(b.tobytes() for b in blocks)).hexdigest() == digest

@@ -86,6 +86,40 @@ class TestNormalizeAdjacency:
         assert np.array_equal(prop, np.ones((1, 1)))
 
 
+@st.composite
+def weighted_graphs(draw):
+    """(n, [(u, v, w), ...]) with u != v; pairs may repeat in either
+    direction and some nodes may have no edge at all."""
+    n = draw(st.integers(1, 12))
+    edge = st.tuples(
+        st.integers(0, n - 1), st.integers(1, max(n - 1, 1)),
+        st.floats(min_value=0.125, max_value=8.0),
+    ).map(lambda t: (t[0], (t[0] + t[1]) % n, t[2]))
+    edges = draw(st.lists(edge, max_size=0 if n == 1 else 30))
+    return n, edges
+
+
+@given(weighted_graphs(), st.booleans(), st.floats(min_value=-0.5, max_value=2.0),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_symmetric_operator_matches_dense_oracle(graph, normalize, eps, seed):
+    n, edges = graph
+    a = np.zeros((n, n))
+    for u, v, w in edges:
+        a[u, v] += w
+        a[v, u] += w
+    src, dst, weight = ([e[k] for e in edges] for k in range(3))
+    if normalize:
+        op = nn.SymmetricOperator(n, src, dst, weight, normalize=True)
+        oracle = nn.normalize_adjacency(a)
+    else:
+        op = nn.SymmetricOperator(n, src, dst, weight, diagonal=1.0 + eps)
+        oracle = a + (1.0 + eps) * np.eye(n)
+    x = np.random.default_rng(seed).normal(size=(n, 3))
+    assert np.allclose(op @ np.eye(n), oracle, rtol=1e-13, atol=1e-13)
+    assert np.allclose(op @ x, oracle @ x, rtol=1e-12, atol=1e-12)
+
+
 class TestOptimizer:
     def make_state(self, params, optimizer="sgd", lr=0.1, schedule="constant"):
         spec = nn.ParamSpec((("p", (params.size,)),))
