@@ -7,6 +7,7 @@ tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,22 +29,28 @@ class ParamSpec:
     """Ordered (name, shape) layout of one flat parameter vector."""
 
     entries: tuple[tuple[str, tuple[int, ...]], ...]
+    total: int = field(init=False, compare=False)
+    _layout: tuple[tuple[str, int, int, tuple[int, ...]], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
-    @property
-    def total(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.entries)
+    def __post_init__(self):
+        layout = []
+        offset = 0
+        for name, shape in self.entries:
+            size = math.prod(shape)
+            layout.append((name, offset, offset + size, shape))
+            offset += size
+        object.__setattr__(self, "total", offset)
+        object.__setattr__(self, "_layout", tuple(layout))
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Reshaped views into ``flat``; writes through to the vector."""
         if flat.shape != (self.total,):
             raise ValueError(f"expected flat vector of length {self.total}")
-        out = {}
-        offset = 0
-        for name, shape in self.entries:
-            size = int(np.prod(shape))
-            out[name] = flat[offset : offset + size].reshape(shape)
-            offset += size
-        return out
+        return {
+            name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in self._layout
+        }
 
 
 def glorot_init(spec: ParamSpec, *key_parts: int) -> np.ndarray:

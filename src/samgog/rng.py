@@ -54,20 +54,6 @@ def _mix_array(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _SHIFT31)
 
 
-def uniforms(key: int, counters: np.ndarray, *, open_low: bool = False) -> np.ndarray:
-    """Uniform doubles indexed by counter under the given stream key.
-
-    Default range is [0, 1); with ``open_low`` the range is (0, 1], which is
-    what log-of-uniform perturbed keys need.
-    """
-    with np.errstate(over="ignore"):
-        bits = _mix_array(np.uint64(key) + counters.astype(np.uint64))
-    mant = (bits >> _SHIFT11).astype(np.float64)
-    if open_low:
-        return (mant + 1.0) * _INV53
-    return mant * _INV53
-
-
 def vector_keys(base: int, ids: np.ndarray) -> np.ndarray:
     """Stream keys for many ids at once; matches mix(*parts, id) when ``base``
     is mix(*parts)."""
@@ -78,7 +64,11 @@ def vector_keys(base: int, ids: np.ndarray) -> np.ndarray:
 def key_uniforms(
     keys: np.ndarray, counters: np.ndarray, *, open_low: bool = False
 ) -> np.ndarray:
-    """Uniforms for broadcast (key, counter) pairs; see ``uniforms``."""
+    """Uniform doubles for broadcast (key, counter) pairs.
+
+    Default range is [0, 1); with ``open_low`` the range is (0, 1], which is
+    what log-of-uniform perturbed keys need.
+    """
     with np.errstate(over="ignore"):
         bits = _mix_array(keys.astype(np.uint64) + counters.astype(np.uint64))
     mant = (bits >> _SHIFT11).astype(np.float64)

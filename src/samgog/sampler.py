@@ -4,8 +4,10 @@ matrix under a fixed degree allocation.
 Two modes: with-replacement draws k_i independent neighbors per node from
 the categorical distribution S[i, .] / sum(S[i, .]) and records duplicates
 as edge multiplicity, which makes expected edge counts exactly
-k_i * S[i, j] / sum_m S[i, m]; without-replacement draws k_i distinct
-neighbors by perturbed keys (log(u) / w order statistics).
+k_i * S[i, j] / sum_m S[i, m], from row CDFs built once per sampler;
+without-replacement draws k_i distinct neighbors by perturbed keys
+(log(u) / w order statistics, Efraimidis & Spirakis 2006), taking every
+row's top k_i in one row-wise partition of the key matrix.
 
 Per-node randomness is keyed by (seed, stream id, node id) counters, so one
 sample is reproducible bit-for-bit regardless of how rows are scheduled.
@@ -69,7 +71,9 @@ class GoGGraph:
 
 class GoGSampler:
     """Prepared sampler over one similarity matrix and allocation; reuse it
-    when drawing many GoGs so row CDFs are built once."""
+    when drawing many GoGs.  With-replacement mode builds its row CDFs once;
+    without-replacement mode keeps only each node's degree clamped to its
+    support."""
 
     def __init__(
         self,
@@ -84,7 +88,6 @@ class GoGSampler:
             raise ValueError("allocation length does not match similarity matrix")
         s = sim.S
         row_sums = s.sum(axis=1)
-        support = (s > 0.0).sum(axis=1)
         if np.any(row_sums <= 0.0):
             bad = int(np.nonzero(row_sums <= 0.0)[0][0])
             raise DegenerateRowError(
@@ -92,33 +95,33 @@ class GoGSampler:
             )
         self.config = config
         self.num_nodes = n
-        self.weights = s
-        self.k = allocation.k.astype(np.int64).copy()
+        self._node_ids = np.arange(n, dtype=np.uint64)
+        k = allocation.k.astype(np.int64)
 
         if config.mode == WITHOUT_REPLACEMENT:
-            short = np.nonzero(self.k > support)[0]
-            if short.size:
+            self.weights = s
+            support = (s > 0.0).sum(axis=1)
+            short = int(np.count_nonzero(k > support))
+            if short:
                 logger.warning(
-                    "degree exceeds sampling support for nodes %s; reducing to "
-                    "support size",
-                    short.tolist(),
+                    "degree exceeds sampling support for %d of %d nodes; "
+                    "reducing each to its support size",
+                    short, n,
                 )
-            self.k_effective = np.minimum(self.k, support)
-        else:
-            self.k_effective = self.k
+            self.k_effective = np.minimum(k, support)
+            return
 
         # flattened per-row CDFs shifted by the row index, enabling a single
         # searchsorted call across all nodes; overflow from float roundoff is
         # clipped back to the last positive-mass column of the row
         cdf = np.cumsum(s, axis=1) / row_sums[:, None]
         self._flat_cdf = (cdf + np.arange(n)[:, None]).ravel()
-        self._last_positive = (s > 0.0).cumsum(axis=1).argmax(axis=1)
-        self._draw_node = np.repeat(np.arange(n), self.k_effective)
-        self._draw_counter = np.concatenate(
-            [np.arange(ke, dtype=np.uint64) for ke in self.k_effective]
-        )
-        self._node_ids = np.arange(n, dtype=np.uint64)
-        self._col_counters = np.arange(n, dtype=np.uint64)[None, :]
+        self._last_positive = n - 1 - np.argmax(s[:, ::-1] > 0.0, axis=1)
+        self._draw_node = np.repeat(np.arange(n), k)
+        first_draw = np.cumsum(k) - k
+        self._draw_counter = (
+            np.arange(self._draw_node.size) - first_draw[self._draw_node]
+        ).astype(np.uint64)
 
     def sample(self, stream_id: int) -> GoGGraph:
         base = mix(self.config.seed, stream_id, 0x5A11)
@@ -132,25 +135,23 @@ class GoGSampler:
             uniq, counts = np.unique(pair, return_counts=True)
             edges = np.column_stack((uniq // n, uniq % n, counts)).astype(np.int64)
         else:
-            u = key_uniforms(keys[:, None], self._col_counters, open_low=True)
+            u = key_uniforms(keys[:, None], self._node_ids[None, :], open_low=True)
             with np.errstate(divide="ignore", invalid="ignore"):
                 perturbed = np.log(u) / self.weights
             perturbed[self.weights == 0.0] = -np.inf
-            srcs = []
-            dsts = []
-            for i in range(n):
-                ke = int(self.k_effective[i])
-                if ke == 0:
-                    continue
-                top = np.argpartition(perturbed[i], n - ke)[n - ke :]
-                srcs.append(np.full(ke, i, dtype=np.int64))
-                dsts.append(np.sort(top).astype(np.int64))
-            if srcs:
-                src = np.concatenate(srcs)
-                dst = np.concatenate(dsts)
-                edges = np.column_stack((src, dst, np.ones_like(src)))
-            else:
-                edges = np.zeros((0, 3), dtype=np.int64)
+            # the kmax largest keys of every row, ordered by key; row i keeps
+            # the last k_effective[i] of them, i.e. its own top-k
+            ke = self.k_effective
+            kmax = max(int(ke.max()), 1)
+            top = np.argpartition(perturbed, n - kmax, axis=1)[:, n - kmax :]
+            by_key = np.argsort(np.take_along_axis(perturbed, top, axis=1), axis=1)
+            top = np.take_along_axis(top, by_key, axis=1)
+            cols = np.arange(kmax)
+            top[cols < (kmax - ke)[:, None]] = n  # dropped; sorts past the kept
+            top.sort(axis=1)
+            dst = top[cols < ke[:, None]]
+            src = np.repeat(np.arange(n), ke)
+            edges = np.column_stack((src, dst, np.ones_like(src)))
         return GoGGraph(
             edges=edges, num_nodes=n, mode=self.config.mode, stream_key=base
         )

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from samgog import cli, config
+from samgog import cli, config, data
 
 
 GOOD_CONFIG = """
@@ -237,6 +237,20 @@ class TestOtherSubcommands:
         assert stats["num_graphs"] == 30
         assert stats["num_classes"] == 2
         assert stats["feature_scheme"] == "planted-gaussian"
+
+    def test_make_split_rejects_multiclass_tudataset(self, tmp_path, capsys):
+        ds = data.make_path_graph_dataset([3] * 30, labels=[0, 1, 2] * 10)
+        data.write_tudataset(ds, str(tmp_path), "TRI")
+        text = GOOD_CONFIG.replace(
+            "dataset.kind = planted",
+            f"dataset.kind = tudataset\ndataset.path = {tmp_path}\ndataset.name = TRI",
+        )
+        cfg_path = tmp_path / "tri.cfg"
+        cfg_path.write_text(text)
+        out = str(tmp_path / "out")
+        assert cli.main(["make-split", "--config", str(cfg_path), "--out", out]) == 1
+        assert "requires 2 classes" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "split.txt"))
 
     def test_split_file_feeds_training(self, tmp_path):
         cfg_path = self.write_config(tmp_path)

@@ -261,6 +261,11 @@ class TestSplits:
         with pytest.raises(data.SplitError, match="max achievable"):
             data.make_class_imbalanced_split(ds, 15.0, 0.8, 0.1, seed=0)
 
+    def test_multiclass_dataset_rejected(self):
+        ds = data.make_path_graph_dataset([3] * 30, labels=[0, 1, 2] * 10)
+        with pytest.raises(data.SplitError, match="2 classes"):
+            data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.25, seed=0)
+
     def test_split_file_round_trip(self, tmp_path):
         ds = self.make_balanced(60)
         split = data.make_class_imbalanced_split(ds, 2.0, 0.5, 0.25, seed=4)

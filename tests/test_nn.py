@@ -20,6 +20,12 @@ class TestParamSpec:
         views["b"][0] = -1.0
         assert flat[5] == 7.0 and flat[6] == -1.0
 
+    def test_wrong_length_rejected(self):
+        spec = small_spec()
+        assert spec.total == 9
+        with pytest.raises(ValueError, match="length 9"):
+            spec.views(np.zeros(8))
+
     def test_glorot_bounds_and_zero_bias(self):
         spec = small_spec()
         flat = nn.glorot_init(spec, 1, 2)

@@ -18,16 +18,18 @@ def test_vector_keys_match_scalar_mix():
         assert int(keys[i]) == rng.mix(42, 7, i)
 
 
-def test_uniforms_range_and_determinism():
-    u = rng.uniforms(rng.mix(5), np.arange(200000, dtype=np.uint64))
+def test_key_uniforms_range_and_determinism():
+    counters = np.arange(200000, dtype=np.uint64)
+    u = rng.key_uniforms(np.uint64(rng.mix(5)), counters)
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.01
-    again = rng.uniforms(rng.mix(5), np.arange(200000, dtype=np.uint64))
+    again = rng.key_uniforms(np.uint64(rng.mix(5)), counters)
     assert np.array_equal(u, again)
 
 
-def test_uniforms_open_low_excludes_zero():
-    u = rng.uniforms(rng.mix(9), np.arange(100000, dtype=np.uint64), open_low=True)
+def test_key_uniforms_open_low_excludes_zero():
+    counters = np.arange(100000, dtype=np.uint64)
+    u = rng.key_uniforms(np.uint64(rng.mix(9)), counters, open_low=True)
     assert u.min() > 0.0 and u.max() <= 1.0
 
 
@@ -35,7 +37,7 @@ def test_key_uniforms_broadcast_matches_per_key():
     keys = rng.vector_keys(rng.mix(3), np.arange(4, dtype=np.uint64))
     grid = rng.key_uniforms(keys[:, None], np.arange(6, dtype=np.uint64)[None, :])
     for i in range(4):
-        row = rng.uniforms(int(keys[i]), np.arange(6, dtype=np.uint64))
+        row = rng.key_uniforms(keys[i], np.arange(6, dtype=np.uint64))
         assert np.array_equal(grid[i], row)
 
 

@@ -1,11 +1,15 @@
+import hashlib
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from samgog import sampler as sp
 from samgog.degree_alloc import DegreeAllocation
+from samgog.rng import key_uniforms, mix, vector_keys
 from samgog.similarity import DegenerateRowError, SimilarityMatrix
 
 
@@ -119,7 +123,8 @@ class TestSampleGoG:
                 sim, alloc,
                 sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=1),
             ).sample(0)
-        assert "support" in caplog.text
+        assert "degree exceeds sampling support for 2 of 3 nodes" in caplog.text
+        assert "[" not in caplog.text  # a count, not the list of node ids
         assert gog.out_degrees().tolist() == [1, 2, 1]
 
     def test_with_replacement_frequencies_match_closed_form(self):
@@ -133,6 +138,95 @@ class TestSampleGoG:
         p = sim.S / sim.S.sum(axis=1, keepdims=True)
         se = np.sqrt(p * (1 - p) * k[:, None] / trials)
         assert np.all(np.abs(emp - expected) <= 4.0 * se + 1e-12)
+
+
+def per_row_without_replacement(sim, k, seed, stream_id):
+    """Reference draw: each row's top-k perturbed keys, one row at a time."""
+    s = sim.S
+    n = len(s)
+    ke = np.minimum(k, (s > 0.0).sum(axis=1))
+    keys = vector_keys(mix(seed, stream_id, 0x5A11), np.arange(n, dtype=np.uint64))
+    u = key_uniforms(keys[:, None], np.arange(n, dtype=np.uint64)[None, :], open_low=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        perturbed = np.log(u) / s
+    perturbed[s == 0.0] = -np.inf
+    rows = []
+    for i in range(n):
+        if ke[i] == 0:
+            continue
+        top = np.sort(np.argpartition(perturbed[i], n - ke[i])[n - ke[i] :])
+        rows.extend((i, int(j), 1) for j in top)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_without_replacement_matches_per_row_oracle(data):
+    n = data.draw(st.integers(min_value=2, max_value=20))
+    weight = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0))
+    s = np.triu(data.draw(arrays(np.float64, (n, n), elements=weight)), 1)
+    s = s + s.T
+    for i in np.nonzero(s.sum(axis=1) == 0.0)[0]:  # every row needs mass
+        s[i, (i + 1) % n] = s[(i + 1) % n, i] = 0.5
+    k = data.draw(arrays(np.int64, n, elements=st.integers(min_value=0, max_value=n)))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    stream = data.draw(st.integers(min_value=0, max_value=2**20))
+    sim = sim_from(s)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=seed)
+    gog = sp.GoGSampler(sim, alloc, config).sample(stream)
+    assert gog.edges.dtype == np.int64
+    assert np.array_equal(gog.edges, per_row_without_replacement(sim, k, seed, stream))
+
+
+def test_without_replacement_matches_per_row_oracle_on_long_rows():
+    # numpy's partition leaves short rows sorted, so only long rows with a
+    # large k show whether each row's top-k is taken by key order
+    n = 300
+    sim = random_similarity(n, seed=21)
+    k = np.random.default_rng(21).integers(0, n, size=n)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=4)
+    gog = sp.GoGSampler(sim, alloc, config).sample(2)
+    assert np.array_equal(gog.edges, per_row_without_replacement(sim, k, 4, 2))
+
+
+def digest_fixture():
+    """N = 16 with zero-weight pairs, k = 0 rows and two rows (1 and 8)
+    whose k exceeds their support."""
+    rng = np.random.default_rng(2024)
+    n = 16
+    s = rng.random((n, n))
+    s = 0.5 * (s + s.T)
+    s[np.triu(rng.random((n, n)) < 0.5, 1)] = 0.0
+    s = np.triu(s, 1)
+    s = s + s.T
+    ring = (np.arange(n) + 1) % n
+    s[np.arange(n), ring] = s[ring, np.arange(n)] = 0.3
+    k = rng.integers(0, 9, size=n)
+    k[0] = 0
+    k[1] = n
+    return sim_from(s), DegreeAllocation(k=k, total=int(k.sum()))
+
+
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        (sp.WITH_REPLACEMENT,
+         "ebddbe22d0ad48a2af1f89bd8454b8f8fb471974a383709c2e8f3e11236f64fd"),
+        (sp.WITHOUT_REPLACEMENT,
+         "c960bcf09267b3ee0443e6dc736031f1ecafa8f8d9e6379e6ca0c9110d98dc26"),
+    ],
+)
+def test_sample_edges_keep_their_bytes(mode, digest):
+    sim, alloc = digest_fixture()
+    sampler = sp.GoGSampler(sim, alloc, sp.SamplerConfig(mode=mode, seed=7))
+    h = hashlib.sha256()
+    for stream in range(5):
+        edges = sampler.sample(stream).edges
+        assert edges.dtype == np.int64
+        h.update(edges.tobytes())
+    assert h.hexdigest() == digest
 
 
 class TestEdgeHomophily:
