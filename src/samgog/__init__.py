@@ -36,6 +36,7 @@ from .sampler import (
     empirical_inclusion_matrix,
 )
 from .similarity import (
+    FactorSimilarity,
     ProbMatrix,
     SimilarityMatrix,
     build_prob_matrix,

@@ -47,11 +47,19 @@ def mix(*parts: int) -> int:
 
 
 def _mix_array(x: np.ndarray) -> np.ndarray:
-    # vectorized splitmix64 output function over uint64 counters
-    x = x + _U_GOLDEN
-    x = (x ^ (x >> _SHIFT30)) * _U_MIX1
-    x = (x ^ (x >> _SHIFT27)) * _U_MIX2
-    return x ^ (x >> _SHIFT31)
+    # vectorized splitmix64 output function, applied in place to an array of
+    # uint64 counters; one scratch array holds the shifted terms
+    t = np.empty_like(x)
+    x += _U_GOLDEN
+    np.right_shift(x, _SHIFT30, out=t)
+    x ^= t
+    x *= _U_MIX1
+    np.right_shift(x, _SHIFT27, out=t)
+    x ^= t
+    x *= _U_MIX2
+    np.right_shift(x, _SHIFT31, out=t)
+    x ^= t
+    return x
 
 
 def vector_keys(base: int, ids: np.ndarray) -> np.ndarray:
@@ -62,19 +70,29 @@ def vector_keys(base: int, ids: np.ndarray) -> np.ndarray:
 
 
 def key_uniforms(
-    keys: np.ndarray, counters: np.ndarray, *, open_low: bool = False
+    keys: np.ndarray,
+    counters: np.ndarray,
+    *,
+    open_low: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform doubles for broadcast (key, counter) pairs.
 
     Default range is [0, 1); with ``open_low`` the range is (0, 1], which is
-    what log-of-uniform perturbed keys need.
+    what log-of-uniform perturbed keys need.  ``out``, a float64 array of the
+    broadcast shape, receives the values, so a caller drawing block after
+    block can reuse one buffer.
     """
     with np.errstate(over="ignore"):
-        bits = _mix_array(keys.astype(np.uint64) + counters.astype(np.uint64))
-    mant = (bits >> _SHIFT11).astype(np.float64)
+        bits = _mix_array(
+            np.asarray(np.add(keys, counters, dtype=np.uint64, casting="unsafe"))
+        )
+    bits >>= _SHIFT11
     if open_low:
-        return (mant + 1.0) * _INV53
-    return mant * _INV53
+        out = np.add(bits, 1.0, out=out)
+        out *= _INV53
+        return out
+    return np.multiply(bits, _INV53, out=out)
 
 
 def generator(*parts: int) -> np.random.Generator:

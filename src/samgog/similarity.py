@@ -4,6 +4,12 @@ similarity-weighted homophily probability it induces.
 Labeled rows of P are exact one-hot vectors; unlabeled rows are softmax
 class probabilities.  The similarity of two instances is the probability
 that independent draws from their class distributions agree.
+
+``similarity_matrix`` returns the factor form: it keeps the N x C matrix P
+and builds a block of rows of S only when asked, so a sampler can stream
+S in row blocks without ever holding an N x N array.  Its ``S`` property
+builds the dense matrix on demand; ``SimilarityMatrix`` holds a given dense
+S and checks it.  Both give a block of rows through ``rows(r0, r1)``.
 """
 
 from __future__ import annotations
@@ -59,6 +65,48 @@ class SimilarityMatrix:
     def num_nodes(self) -> int:
         return self.S.shape[0]
 
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Weights of rows r0..r1-1: a view of S, not to be written to."""
+        return self.S[r0:r1]
+
+
+@dataclass(frozen=True)
+class FactorSimilarity:
+    """S = clip(P P^T) with an optionally zeroed diagonal, held as P.
+
+    Building it costs O(NC).  ``rows`` computes one block of S in
+    O(block * N * C).  Where BLAS tiles the block product differently from
+    the full product, a block may differ from ``S`` in the last bit.
+    """
+
+    P: np.ndarray  # (N, C) rows on the simplex
+    diagonal_zeroed: bool
+
+    @property
+    def num_nodes(self) -> int:
+        return self.P.shape[0]
+
+    @property
+    def S(self) -> np.ndarray:
+        """The dense N x N matrix, built anew on every access."""
+        s = self.P @ self.P.T
+        s = np.clip(s, 0.0, 1.0)
+        s = 0.5 * (s + s.T)  # exact symmetry despite float reassociation
+        if self.diagonal_zeroed:
+            np.fill_diagonal(s, 0.0)
+        return s
+
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Weights of rows r0..r1-1, a new (r1 - r0, N) array."""
+        w = self.P[r0:r1] @ self.P.T
+        np.clip(w, 0.0, 1.0, out=w)
+        if self.diagonal_zeroed:
+            w[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
+        return w
+
+
+Similarity = SimilarityMatrix | FactorSimilarity
+
 
 def build_prob_matrix(
     logits: np.ndarray, labels: np.ndarray, labeled_mask: np.ndarray
@@ -68,25 +116,22 @@ def build_prob_matrix(
     labeled_mask = np.asarray(labeled_mask, dtype=bool)
     n, c = logits.shape
     p = softmax_rows(logits)
-    for i in np.nonzero(labeled_mask)[0]:
-        if labels[i] < 0 or labels[i] >= c:
-            raise ValueError(f"labeled node {i} has no usable label")
-        row = np.zeros(c, dtype=np.float64)
-        row[labels[i]] = 1.0
-        p[i] = row
+    idx = np.nonzero(labeled_mask)[0]
+    y = labels[idx]
+    bad = (y < 0) | (y >= c)
+    if bad.any():
+        raise ValueError(f"labeled node {idx[bad][0]} has no usable label")
+    p[idx] = 0.0
+    p[idx, y] = 1.0
     return ProbMatrix(P=p, labeled_mask=labeled_mask)
 
 
-def similarity_matrix(prob: ProbMatrix, zero_diagonal: bool = True) -> SimilarityMatrix:
-    s = prob.P @ prob.P.T
-    s = np.clip(s, 0.0, 1.0)
-    s = 0.5 * (s + s.T)  # exact symmetry despite float reassociation
-    if zero_diagonal:
-        np.fill_diagonal(s, 0.0)
-    return SimilarityMatrix(S=s, diagonal_zeroed=zero_diagonal)
+def similarity_matrix(prob: ProbMatrix, zero_diagonal: bool = True) -> FactorSimilarity:
+    """The similarity of ``prob`` in factor form, in O(NC)."""
+    return FactorSimilarity(P=prob.P, diagonal_zeroed=zero_diagonal)
 
 
-def homophily_prob(sim: SimilarityMatrix, true_labels: np.ndarray, i: int) -> float:
+def homophily_prob(sim: Similarity, true_labels: np.ndarray, i: int) -> float:
     """Similarity-weighted probability that node i's neighbor shares y_i."""
     row = sim.S[i]
     total = row.sum()
@@ -96,18 +141,19 @@ def homophily_prob(sim: SimilarityMatrix, true_labels: np.ndarray, i: int) -> fl
     return float(same / total)
 
 
-def homophily_prob_all(sim: SimilarityMatrix, true_labels: np.ndarray) -> np.ndarray:
+def homophily_prob_all(sim: Similarity, true_labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(true_labels)
-    totals = sim.S.sum(axis=1)
+    s = sim.S
+    totals = s.sum(axis=1)
     if np.any(totals <= 0.0):
         bad = int(np.nonzero(totals <= 0.0)[0][0])
         raise DegenerateRowError(f"similarity row {bad} has zero total mass")
     same_mask = labels[:, None] == labels[None, :]
-    return (sim.S * same_mask).sum(axis=1) / totals
+    return (s * same_mask).sum(axis=1) / totals
 
 
 def expected_homophily(
-    sim: SimilarityMatrix, true_labels: np.ndarray, allocation
+    sim: Similarity, true_labels: np.ndarray, allocation
 ) -> float:
     """Degree-weighted mean homophily probability: the exact expectation of
     edge homophily under with-replacement sampling."""

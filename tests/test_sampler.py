@@ -1,6 +1,8 @@
 import hashlib
 import logging
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,12 @@ from hypothesis.extra.numpy import arrays
 from samgog import sampler as sp
 from samgog.degree_alloc import DegreeAllocation
 from samgog.rng import key_uniforms, mix, vector_keys
-from samgog.similarity import DegenerateRowError, SimilarityMatrix
+from samgog.similarity import (
+    DegenerateRowError,
+    SimilarityMatrix,
+    build_prob_matrix,
+    similarity_matrix,
+)
 
 
 def sim_from(matrix, zeroed=True):
@@ -159,6 +166,12 @@ def per_row_without_replacement(sim, k, seed, stream_id):
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
+def few_rows(n, rows=3):
+    """Patch the sampler's block budget so an n-node draw uses row blocks of
+    ``rows`` rows, the last one shorter when rows does not divide n."""
+    return mock.patch.object(sp, "_BLOCK_BYTES", 8 * n * rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_without_replacement_matches_per_row_oracle(data):
@@ -174,9 +187,13 @@ def test_without_replacement_matches_per_row_oracle(data):
     sim = sim_from(s)
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=seed)
+    expected = per_row_without_replacement(sim, k, seed, stream)
     gog = sp.GoGSampler(sim, alloc, config).sample(stream)
     assert gog.edges.dtype == np.int64
-    assert np.array_equal(gog.edges, per_row_without_replacement(sim, k, seed, stream))
+    assert np.array_equal(gog.edges, expected)
+    with few_rows(n):
+        blocked = sp.GoGSampler(sim, alloc, config).sample(stream)
+    assert np.array_equal(blocked.edges, expected)
 
 
 def test_without_replacement_matches_per_row_oracle_on_long_rows():
@@ -187,8 +204,58 @@ def test_without_replacement_matches_per_row_oracle_on_long_rows():
     k = np.random.default_rng(21).integers(0, n, size=n)
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=4)
+    expected = per_row_without_replacement(sim, k, 4, 2)
     gog = sp.GoGSampler(sim, alloc, config).sample(2)
-    assert np.array_equal(gog.edges, per_row_without_replacement(sim, k, 4, 2))
+    assert np.array_equal(gog.edges, expected)
+    with few_rows(n, rows=7):
+        blocked = sp.GoGSampler(sim, alloc, config).sample(2)
+    assert np.array_equal(blocked.edges, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_factor_form_matches_dense_similarity(data):
+    # one-hot labeled rows give exact zeros (k can exceed the support), and
+    # logits up to 40 give near one-hot softmax rows (off-class mass ~1e-35)
+    n = data.draw(st.integers(min_value=2, max_value=40))
+    c = data.draw(st.integers(min_value=2, max_value=3))
+    logit = st.floats(min_value=-40.0, max_value=40.0)
+    logits = data.draw(arrays(np.float64, (n, c), elements=logit))
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    labeled = data.draw(arrays(np.bool_, n))
+    labeled[0] = False  # an unlabeled row gives every row positive mass
+    k = data.draw(arrays(np.int64, n, elements=st.integers(min_value=0, max_value=n)))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    stream = data.draw(st.integers(min_value=0, max_value=2**20))
+    factor = similarity_matrix(build_prob_matrix(logits, labels, labeled))
+    dense = SimilarityMatrix(S=factor.S, diagonal_zeroed=True)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=seed)
+    expected = sp.GoGSampler(dense, alloc, config).sample(stream).edges
+    gog = sp.GoGSampler(factor, alloc, config).sample(stream)
+    assert np.array_equal(gog.edges, expected)
+    with few_rows(n):
+        blocked = sp.GoGSampler(factor, alloc, config).sample(stream)
+    assert np.array_equal(blocked.edges, expected)
+
+
+def test_without_replacement_holds_no_square_array():
+    n = 3000
+    rng = np.random.default_rng(30)
+    labels = rng.integers(0, 2, size=n)
+    prob = build_prob_matrix(rng.normal(size=(n, 2)), labels, rng.random(n) < 0.2)
+    k = rng.integers(1, 11, size=n)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=3)
+    sim = similarity_matrix(prob)
+    tracemalloc.start()
+    try:
+        gog = sp.GoGSampler(sim, alloc, config).sample(0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(gog.out_degrees(), k)
+    assert peak < n * n * 8 / 4  # a quarter of one N x N float64 array
 
 
 def digest_fixture():

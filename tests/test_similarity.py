@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from samgog import similarity as sim
+from samgog.nn import softmax_rows
 from samgog.degree_alloc import DegreeAllocation
 from samgog.sampler import GoGSampler, SamplerConfig, WITH_REPLACEMENT, edge_homophily
 
@@ -30,10 +31,29 @@ class TestProbMatrix:
         assert np.allclose(p.P[0], [0.75, 0.25], atol=1e-12)
 
     def test_labeled_row_without_label_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="labeled node 0"):
             sim.build_prob_matrix(
                 np.zeros((1, 2)), np.array([-1]), np.array([True])
             )
+        # node 0 is unlabeled, so node 2 is the first bad labeled node
+        with pytest.raises(ValueError, match="labeled node 2 "):
+            sim.build_prob_matrix(
+                np.zeros((4, 2)), np.array([-1, 1, 2, -1]),
+                np.array([False, True, True, True]),
+            )
+
+    @given(st.integers(min_value=1, max_value=12), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_row_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(n, 3)) * 5
+        labels = rng.integers(0, 3, size=n)
+        mask = rng.random(n) < 0.5
+        expected = softmax_rows(logits)
+        for i in np.nonzero(mask)[0]:
+            expected[i] = np.eye(3)[labels[i]]
+        got = sim.build_prob_matrix(logits, labels, mask)
+        assert got.P.tobytes() == expected.tobytes()
 
     def test_invalid_rows_rejected(self):
         with pytest.raises(ValueError):
