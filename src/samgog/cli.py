@@ -34,7 +34,12 @@ from .downstream import PipelineResult, train_full_pipeline
 from .encoder import encode_dataset, init_encoder_state
 from .rng import mix
 from .sampler import WITH_REPLACEMENT, GoGSampler, SamplerConfig, dump_gog, edge_homophily
-from .similarity import build_prob_matrix, expected_homophily, similarity_matrix
+from .similarity import (
+    SimilarityMatrix,
+    build_prob_matrix,
+    expected_homophily,
+    similarity_matrix,
+)
 
 METRIC_COLUMNS = (
     "run",
@@ -227,7 +232,10 @@ def emit_homophily_sweep(
     train_list = list(split.train_idx)
     train_only[train_list] = labels[train_list]
     prob = build_prob_matrix(logits, train_only, train_only >= 0)
-    sim = similarity_matrix(prob, zero_diagonal=True)
+    # the with-replacement sampler and the closed form both read the dense S:
+    # build it once for the whole sweep
+    sim = SimilarityMatrix(S=similarity_matrix(prob, zero_diagonal=True).S,
+                           diagonal_zeroed=True)
 
     path = os.path.join(out_dir, "homophily_sweep.csv")
     with open(path, "w") as f:

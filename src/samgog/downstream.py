@@ -177,9 +177,9 @@ def downstream_loss_and_grad(
     grad_views = state.spec.views(grad)
     dx = dlogits
     for layer in range(config.num_layers, 0, -1):
-        cache, mask = caches[layer - 1]
+        cache, mask = caches.pop()
         if mask is not None:
-            dx = dx * mask
+            dx *= mask
         dx, dw, db = propagate_backward(cache, dx, input_grad=layer > 1)
         grad_views[f"gog{layer}.W"] += dw
         grad_views[f"gog{layer}.b"] += db

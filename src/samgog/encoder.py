@@ -218,9 +218,10 @@ def _backward(config, views, cache, dlogits, grad_views):
         dh = dh / sizes[:, None]
     dx = np.repeat(dh, sizes, axis=0)
     for layer in range(config.num_layers, 0, -1):
-        layer_cache, mask = layer_caches[layer - 1]
+        # drop each layer's cache once its gradients are taken
+        layer_cache, mask = layer_caches.pop()
         if mask is not None:
-            dx = dx * mask
+            dx *= mask
         if config.arch == ARCH_GCN:
             dx, dw, _ = propagate_backward(layer_cache, dx, input_grad=layer > 1)
             grad_views[f"layer{layer}.W"] += dw

@@ -104,14 +104,34 @@ def cross_entropy_and_dlogits(
 # ---------------------------------------------------------------------------
 
 
+# Stored entries that one chunk of ``SymmetricOperator @ x`` gathers, so the
+# product's largest temporary is about _CHUNK_ENTRIES * d floats (1 MiB at
+# d = 16) instead of nnz * d; a chunk holds at least one row.  An operator
+# with at most this many entries is one chunk and one ``np.add.reduceat``.
+# On planted encoder operators (24k and 240k nodes, d = 4 and 16), chunks of
+# 2^11 to 2^13 entries were fastest, and at d = 16 two to three times faster
+# than one unchunked pass.  Of those, 2^13 is the one that keeps glibc's heap
+# trim threshold (twice the largest freed mmap block) above the ~1.6 MB of
+# block temporaries each without-replacement draw allocates at N = 200:
+# with 2^12, every draw handed that memory back to the system and faulted it
+# in again, and a 200-graph training run took 20% longer.
+_CHUNK_ENTRIES = 1 << 13
+
+
 class SymmetricOperator:
     """Sparse symmetric operator ``A + c I`` over ``n`` nodes in CSR form.
 
     ``A`` holds every weighted edge ``(src, dst, weight)`` in both
     directions; repeated pairs add.  With ``normalize`` the operator is
     ``D^{-1/2} (A + c I) D^{-1/2}``, ``D`` its row sums.  Every row stores its
-    diagonal entry, so no row segment is empty and ``op @ x`` is one
-    ``np.add.reduceat``; the operator is its own transpose.
+    diagonal entry, so no row segment is empty; the operator is its own
+    transpose.
+
+    ``op @ x`` walks the rows in chunks of about ``_CHUNK_ENTRIES`` stored
+    entries: each chunk's entries are gathered from ``x``, scaled and
+    ``np.add.reduceat``-ed into its rows of the output.  Every row sums the
+    same products in the same order as one unchunked ``reduceat``, so the
+    result is byte-identical to it.
     """
 
     def __init__(self, n: int, src, dst, weight, diagonal: float = 1.0,
@@ -130,15 +150,42 @@ class SymmetricOperator:
             vals = vals * inv_sqrt[rows] * inv_sqrt[self.cols]
         self.vals = vals
         self.starts = np.searchsorted(rows, nodes)
+        # (first row, end row, first entry, end entry) of every chunk, empty
+        # when one chunk holds all entries; a new chunk starts at each row
+        # whose first entry crosses a multiple of _CHUNK_ENTRIES
+        self._chunks = []
+        if self.cols.size > _CHUNK_ENTRIES:
+            row_bounds = np.flatnonzero(np.diff(self.starts // _CHUNK_ENTRIES)) + 1
+            row_bounds = np.concatenate(([0], row_bounds, [n]))
+            entry_bounds = np.append(self.starts, self.cols.size)[row_bounds]
+            self._chunks = list(zip(row_bounds[:-1].tolist(), row_bounds[1:].tolist(),
+                                    entry_bounds[:-1].tolist(), entry_bounds[1:].tolist()))
 
     @property
     def nbytes(self) -> int:
         return self.cols.nbytes + self.vals.nbytes + self.starts.nbytes
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        gathered = np.take(x, self.cols, axis=0)
-        gathered *= self.vals[:, None]
-        return np.add.reduceat(gathered, self.starts, axis=0)
+        n = self.starts.size
+        if x.ndim != 2 or x.shape[0] != n:
+            raise ValueError(
+                f"operator over {n} nodes needs x of shape ({n}, d), got {x.shape}"
+            )
+        if not self._chunks:
+            return _gather_reduce(x, self.cols, self.vals, self.starts)
+        out = np.empty((n, x.shape[1]), dtype=x.dtype)
+        for r0, r1, lo, hi in self._chunks:
+            _gather_reduce(x, self.cols[lo:hi], self.vals[lo:hi],
+                           self.starts[r0:r1] - lo, out[r0:r1])
+        return out
+
+
+def _gather_reduce(x, cols, vals, starts, out=None):
+    """CSR rows applied to ``x``: gather ``x`` at ``cols``, scale by ``vals``
+    and sum each row segment, whose offsets are ``starts``."""
+    gathered = np.take(x, cols, axis=0)
+    gathered *= vals[:, None]
+    return np.add.reduceat(gathered, starts, axis=0, out=out)
 
 
 def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
@@ -161,18 +208,23 @@ def propagate_forward(
     """One graph-convolution layer out = [relu](prop @ x @ w [+ b]) with cache;
     ``prop`` is symmetric (a ``SymmetricOperator`` or its dense oracle)."""
     px = prop @ x
-    z = px @ w
+    out = px @ w
     if bias is not None:
-        z = z + bias
-    out = relu(z) if activation else z
-    return out, (prop, px, z if activation else None, w, bias is not None)
+        out += bias
+    if activation:
+        np.maximum(out, 0.0, out=out)
+    return out, (prop, px, out if activation else None, w, bias is not None)
 
 
 def propagate_backward(cache: tuple, dout: np.ndarray, input_grad: bool = True):
     """Gradients (dx, dw, db) for propagate_forward; db is None without bias
-    and dx is None without ``input_grad`` (a first layer's input is data)."""
-    prop, px, z, w, has_bias = cache
-    dz = dout * (z > 0) if z is not None else dout
+    and dx is None without ``input_grad`` (a first layer's input is data).
+    ``dout`` is overwritten with the pre-activation gradient, which the cached
+    ReLU output masks: it is positive exactly where the ReLU's input is."""
+    prop, px, out, w, has_bias = cache
+    dz = dout
+    if out is not None:
+        dz *= out > 0
     dw = px.T @ dz
     db = dz.sum(axis=0) if has_bias else None
     dx = prop @ (dz @ w.T) if input_grad else None
@@ -183,19 +235,21 @@ def mlp2_forward(
     x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
     """Two-layer perceptron w2 @ relu(w1 x + b1) + b2 applied row-wise."""
-    z1 = x @ w1 + b1
-    h1 = relu(z1)
-    out = h1 @ w2 + b2
-    return out, (x, z1, h1, w1, w2)
+    h1 = x @ w1
+    h1 += b1
+    np.maximum(h1, 0.0, out=h1)
+    out = h1 @ w2
+    out += b2
+    return out, (x, h1, w1, w2)
 
 
 def mlp2_backward(cache: tuple, dout: np.ndarray):
     """Returns (dx, dw1, db1, dw2, db2)."""
-    x, z1, h1, w1, w2 = cache
+    x, h1, w1, w2 = cache
     dw2 = h1.T @ dout
     db2 = dout.sum(axis=0)
-    dh1 = dout @ w2.T
-    dz1 = dh1 * (z1 > 0)
+    dz1 = dout @ w2.T
+    dz1 *= h1 > 0
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     dx = dz1 @ w1.T

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,3 +346,22 @@ class TestOperators:
         if arch == enc.ARCH_GIN:
             blocks = [b - (1.0 + config.epsilon_gin) * np.eye(len(b)) for b in blocks]
         assert hashlib.sha256(b"".join(b.tobytes() for b in blocks)).hexdigest() == digest
+
+
+def test_supervised_step_holds_no_full_gather():
+    """One encoder step at 3000 graphs peaks below two nnz x hidden float64
+    arrays.  An unchunked product gathers one such array on top of the layer
+    caches and gradients; the chunked one gathers about 2**13 entries."""
+    ds = data.make_planted_dataset(num_graphs=3000, seed=7, noise=0.5)
+    config = enc.EncoderConfig(hidden_dim=16)
+    state = enc.init_encoder_state(ds, config, 303)
+    op = enc.build_operators(ds, config)
+    labeled = np.arange(0, len(ds), 2)
+    tracemalloc.start()
+    try:
+        enc.supervised_loss_and_grad(ds, config, state, ds.labels(), labeled, op=op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gather = op.cols.size * config.hidden_dim * 8
+    assert peak < 2 * gather

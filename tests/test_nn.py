@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,10 +106,9 @@ def weighted_graphs(draw):
     return n, edges
 
 
-@given(weighted_graphs(), st.booleans(), st.floats(min_value=-0.5, max_value=2.0),
-       st.integers(0, 2**32 - 1))
-@settings(max_examples=200, deadline=None)
-def test_symmetric_operator_matches_dense_oracle(graph, normalize, eps, seed):
+def operator_and_oracle(graph, normalize, eps):
+    """The sparse operator of ``graph`` and its dense oracle: the normalized
+    ``D^-1/2 (A + I) D^-1/2`` or the GIN ``A + (1 + eps) I``."""
     n, edges = graph
     a = np.zeros((n, n))
     for u, v, w in edges:
@@ -116,14 +116,46 @@ def test_symmetric_operator_matches_dense_oracle(graph, normalize, eps, seed):
         a[v, u] += w
     src, dst, weight = ([e[k] for e in edges] for k in range(3))
     if normalize:
-        op = nn.SymmetricOperator(n, src, dst, weight, normalize=True)
-        oracle = nn.normalize_adjacency(a)
-    else:
-        op = nn.SymmetricOperator(n, src, dst, weight, diagonal=1.0 + eps)
-        oracle = a + (1.0 + eps) * np.eye(n)
+        return (nn.SymmetricOperator(n, src, dst, weight, normalize=True),
+                nn.normalize_adjacency(a))
+    return (nn.SymmetricOperator(n, src, dst, weight, diagonal=1.0 + eps),
+            a + (1.0 + eps) * np.eye(n))
+
+
+@given(weighted_graphs(), st.booleans(), st.floats(min_value=-0.5, max_value=2.0),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_symmetric_operator_matches_dense_oracle(graph, normalize, eps, seed):
+    n, _ = graph
+    op, oracle = operator_and_oracle(graph, normalize, eps)
     x = np.random.default_rng(seed).normal(size=(n, 3))
     assert np.allclose(op @ np.eye(n), oracle, rtol=1e-13, atol=1e-13)
     assert np.allclose(op @ x, oracle @ x, rtol=1e-12, atol=1e-12)
+
+
+@given(weighted_graphs(), st.booleans(), st.floats(min_value=-0.5, max_value=2.0),
+       st.sampled_from([1, 3, 16]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_chunked_product_is_byte_identical(graph, normalize, eps, d, chunk, seed):
+    """With chunks of 1-3 stored entries, ``op @ x`` equals one unchunked
+    reduceat byte for byte, and the dense oracle to rounding."""
+    n, _ = graph
+    with mock.patch.object(nn, "_CHUNK_ENTRIES", chunk):
+        op, oracle = operator_and_oracle(graph, normalize, eps)
+    x = np.random.default_rng(seed).normal(size=(n, d))
+    unchunked = np.add.reduceat(
+        np.take(x, op.cols, axis=0) * op.vals[:, None], op.starts, axis=0
+    )
+    got = op @ x
+    assert got.tobytes() == unchunked.tobytes()
+    assert np.allclose(got, oracle @ x, rtol=1e-12, atol=1e-12)
+
+
+def test_symmetric_operator_rejects_wrong_shape():
+    op = nn.SymmetricOperator(3, [0, 1], [1, 2], 1.0)
+    for x in (np.ones((5, 2)), np.ones((2, 2)), np.ones(3), np.ones((3, 2, 1))):
+        with pytest.raises(ValueError, match=r"needs x of shape \(3, d\)"):
+            op @ x
 
 
 class TestOptimizer:
