@@ -32,7 +32,7 @@ from .nn import (
     cross_entropy_and_dlogits,
     init_model_state,
     optimizer_step,
-    propagate_backward,
+    propagate_backward_inplace,
     propagate_forward,
 )
 from .sampler import GoGGraph, GoGSampler, SamplerConfig, edge_homophily
@@ -180,7 +180,7 @@ def downstream_loss_and_grad(
         cache, mask = caches.pop()
         if mask is not None:
             dx *= mask
-        dx, dw, db = propagate_backward(cache, dx, input_grad=layer > 1)
+        dx, dw, db = propagate_backward_inplace(cache, dx, input_grad=layer > 1)
         grad_views[f"gog{layer}.W"] += dw
         grad_views[f"gog{layer}.b"] += db
     return loss, grad, logits

@@ -25,7 +25,7 @@ from .nn import (
     mlp2_backward,
     mlp2_forward,
     normalize_adjacency,
-    propagate_backward,
+    propagate_backward_inplace,
     propagate_forward,
     relu,
 )
@@ -223,7 +223,9 @@ def _backward(config, views, cache, dlogits, grad_views):
         if mask is not None:
             dx *= mask
         if config.arch == ARCH_GCN:
-            dx, dw, _ = propagate_backward(layer_cache, dx, input_grad=layer > 1)
+            dx, dw, _ = propagate_backward_inplace(
+                layer_cache, dx, input_grad=layer > 1
+            )
             grad_views[f"layer{layer}.W"] += dw
         else:
             dagg, dw1, db1, dw2, db2 = mlp2_backward(layer_cache, dx)

@@ -106,15 +106,11 @@ def cross_entropy_and_dlogits(
 
 # Stored entries that one chunk of ``SymmetricOperator @ x`` gathers, so the
 # product's largest temporary is about _CHUNK_ENTRIES * d floats (1 MiB at
-# d = 16) instead of nnz * d; a chunk holds at least one row.  An operator
-# with at most this many entries is one chunk and one ``np.add.reduceat``.
-# On planted encoder operators (24k and 240k nodes, d = 4 and 16), chunks of
-# 2^11 to 2^13 entries were fastest, and at d = 16 two to three times faster
-# than one unchunked pass.  Of those, 2^13 is the one that keeps glibc's heap
-# trim threshold (twice the largest freed mmap block) above the ~1.6 MB of
-# block temporaries each without-replacement draw allocates at N = 200:
-# with 2^12, every draw handed that memory back to the system and faulted it
-# in again, and a 200-graph training run took 20% longer.
+# d = 16) instead of nnz * d; a chunk holds at least one row, and an operator
+# with at most this many entries is a single chunk.  On planted encoder
+# operators (24k and 240k nodes, d = 4 and 16), chunks of 2^11 to 2^13
+# entries were fastest, and at d = 16 two to three times faster than one
+# unchunked pass; 2^13 is the top of that range.
 _CHUNK_ENTRIES = 1 << 13
 
 
@@ -150,20 +146,24 @@ class SymmetricOperator:
             vals = vals * inv_sqrt[rows] * inv_sqrt[self.cols]
         self.vals = vals
         self.starts = np.searchsorted(rows, nodes)
-        # (first row, end row, first entry, end entry) of every chunk, empty
-        # when one chunk holds all entries; a new chunk starts at each row
-        # whose first entry crosses a multiple of _CHUNK_ENTRIES
-        self._chunks = []
-        if self.cols.size > _CHUNK_ENTRIES:
-            row_bounds = np.flatnonzero(np.diff(self.starts // _CHUNK_ENTRIES)) + 1
-            row_bounds = np.concatenate(([0], row_bounds, [n]))
-            entry_bounds = np.append(self.starts, self.cols.size)[row_bounds]
-            self._chunks = list(zip(row_bounds[:-1].tolist(), row_bounds[1:].tolist(),
-                                    entry_bounds[:-1].tolist(), entry_bounds[1:].tolist()))
+        # (first row, end row, cols, vals, row offsets within the chunk) of
+        # every chunk; a chunk starts at row 0 and at the first row that
+        # starts at or after each multiple of _CHUNK_ENTRIES (repeats, and n
+        # when the last row spans a multiple, fall out of the set)
+        nnz = self.cols.size
+        firsts = self.starts.searchsorted(np.arange(_CHUNK_ENTRIES, nnz, _CHUNK_ENTRIES))
+        row_bounds = sorted({0, n, *firsts.tolist()})
+        entry_bounds = [*self.starts[row_bounds[:-1]].tolist(), nnz]
+        self._chunks = [
+            (r0, r1, self.cols[lo:hi], self.vals[lo:hi, None], self.starts[r0:r1] - lo)
+            for r0, r1, lo, hi in zip(row_bounds[:-1], row_bounds[1:],
+                                      entry_bounds[:-1], entry_bounds[1:])
+        ]
 
     @property
     def nbytes(self) -> int:
-        return self.cols.nbytes + self.vals.nbytes + self.starts.nbytes
+        chunk_starts = sum(starts.nbytes for *_, starts in self._chunks)
+        return self.cols.nbytes + self.vals.nbytes + self.starts.nbytes + chunk_starts
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         n = self.starts.size
@@ -171,21 +171,13 @@ class SymmetricOperator:
             raise ValueError(
                 f"operator over {n} nodes needs x of shape ({n}, d), got {x.shape}"
             )
-        if not self._chunks:
-            return _gather_reduce(x, self.cols, self.vals, self.starts)
         out = np.empty((n, x.shape[1]), dtype=x.dtype)
-        for r0, r1, lo, hi in self._chunks:
-            _gather_reduce(x, self.cols[lo:hi], self.vals[lo:hi],
-                           self.starts[r0:r1] - lo, out[r0:r1])
+        for r0, r1, cols, vals, starts in self._chunks:
+            gathered = np.take(x, cols, axis=0)
+            gathered *= vals
+            np.add.reduceat(gathered, starts, axis=0, out=out[r0:r1])
+            del gathered  # free this chunk before the next one is gathered
         return out
-
-
-def _gather_reduce(x, cols, vals, starts, out=None):
-    """CSR rows applied to ``x``: gather ``x`` at ``cols``, scale by ``vals``
-    and sum each row segment, whose offsets are ``starts``."""
-    gathered = np.take(x, cols, axis=0)
-    gathered *= vals[:, None]
-    return np.add.reduceat(gathered, starts, axis=0, out=out)
 
 
 def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
@@ -216,11 +208,14 @@ def propagate_forward(
     return out, (prop, px, out if activation else None, w, bias is not None)
 
 
-def propagate_backward(cache: tuple, dout: np.ndarray, input_grad: bool = True):
+def propagate_backward_inplace(cache: tuple, dout: np.ndarray, input_grad: bool = True):
     """Gradients (dx, dw, db) for propagate_forward; db is None without bias
     and dx is None without ``input_grad`` (a first layer's input is data).
-    ``dout`` is overwritten with the pre-activation gradient, which the cached
-    ReLU output masks: it is positive exactly where the ReLU's input is."""
+
+    Overwrites ``dout`` with the pre-activation gradient, so the backward
+    pass holds one node-sized gradient fewer; pass a copy to keep it.  The
+    cached ReLU output masks it: it is positive exactly where the ReLU's
+    input is."""
     prop, px, out, w, has_bias = cache
     dz = dout
     if out is not None:
