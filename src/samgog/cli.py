@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .data import (
     write_split,
 )
 from .degree_alloc import allocate_degrees, dump_allocation
-from .downstream import PipelineResult, train_full_pipeline
+from .downstream import CurvePoint, PipelineResult, train_full_pipeline
 from .encoder import encode_dataset, init_encoder_state
 from .rng import mix
 from .sampler import WITH_REPLACEMENT, GoGSampler, SamplerConfig, dump_gog, edge_homophily
@@ -52,20 +52,13 @@ METRIC_COLUMNS = (
     "edge_homophily_mean",
     "edge_homophily_std",
 )
-
-CURVE_COLUMNS = (
-    "epoch",
-    "encoder_loss",
-    "downstream_loss",
-    "val_balanced_accuracy",
-    "mean_edge_homophily",
-)
+CURVE_COLUMNS = tuple(f.name for f in fields(CurvePoint))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+def _csv_row(values) -> str:
+    """One CSV line; floats at full round-trip precision."""
+    cells = (f"{x:.17g}" if isinstance(x, float) else str(x) for x in values)
+    return ",".join(cells) + "\n"
 
 
 def load_dataset(config: ExperimentConfig) -> GraphDataset:
@@ -142,33 +135,21 @@ def run_experiment(
 
     results = [_run_one(config, dataset, split, r) for r in range(config.runs)]
 
-    rows = []
-    for r, res in enumerate(results):
-        m = res.metrics
-        rows.append(
-            [
-                r,
-                mix(config.seed, r),
-                m.accuracy,
-                m.balanced_accuracy,
-                m.macro_f1,
-                m.head_accuracy,
-                m.tail_accuracy,
-                m.edge_homophily_mean,
-                m.edge_homophily_std,
-            ]
-        )
+    rows = [
+        [r, mix(config.seed, r), *(getattr(res.metrics, c) for c in METRIC_COLUMNS[2:])]
+        for r, res in enumerate(results)
+    ]
 
     metrics_csv = os.path.join(out_dir, "metrics.csv")
     with open(metrics_csv, "w") as f:
-        f.write(",".join(METRIC_COLUMNS) + "\n")
+        f.write(_csv_row(METRIC_COLUMNS))
         for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+            f.write(_csv_row(row))
         values = np.array([row[2:] for row in rows], dtype=np.float64)
         mean = values.mean(axis=0)
         std = values.std(axis=0)  # population stddev: rerunable from the rows
-        f.write(",".join(["mean", ""] + [_fmt(float(x)) for x in mean]) + "\n")
-        f.write(",".join(["std", ""] + [_fmt(float(x)) for x in std]) + "\n")
+        f.write(_csv_row(["mean", "", *mean.tolist()]))
+        f.write(_csv_row(["std", "", *std.tolist()]))
 
     with open(os.path.join(out_dir, "metrics.json"), "w") as f:
         json.dump(
@@ -186,21 +167,9 @@ def run_experiment(
 
     for r, res in enumerate(results):
         with open(os.path.join(out_dir, f"curve_run{r}.csv"), "w") as f:
-            f.write(",".join(CURVE_COLUMNS) + "\n")
+            f.write(_csv_row(CURVE_COLUMNS))
             for point in res.curve:
-                f.write(
-                    ",".join(
-                        _fmt(x)
-                        for x in (
-                            point.epoch,
-                            point.encoder_loss,
-                            point.downstream_loss,
-                            point.val_balanced_accuracy,
-                            point.mean_edge_homophily,
-                        )
-                    )
-                    + "\n"
-                )
+                f.write(_csv_row(astuple(point)))
 
     if dump_gogs and results:
         for j, gog in enumerate(results[0].final_gogs):
@@ -239,7 +208,7 @@ def emit_homophily_sweep(
 
     path = os.path.join(out_dir, "homophily_sweep.csv")
     with open(path, "w") as f:
-        f.write("d_bar,homophily_mean,homophily_std,expected_homophily\n")
+        f.write(_csv_row(("d_bar", "homophily_mean", "homophily_std", "expected_homophily")))
         for d_bar in degree_values:
             base = config.alloc_config()
             # keep low-degree sweep points feasible: the floor cannot sit
@@ -260,18 +229,9 @@ def emit_homophily_sweep(
                 for j in range(samples_per_degree)
             ]
             closed = expected_homophily(sim, labels, allocation)
-            f.write(
-                ",".join(
-                    _fmt(x)
-                    for x in (
-                        float(d_bar),
-                        float(np.mean(values)),
-                        float(np.std(values)),
-                        closed,
-                    )
-                )
-                + "\n"
-            )
+            f.write(_csv_row(
+                (float(d_bar), float(np.mean(values)), float(np.std(values)), closed)
+            ))
     return path
 
 

@@ -5,7 +5,7 @@ field path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .data import DEFAULT_DEGREE_CAP, FEATURE_SCHEMES
 from .degree_alloc import AllocConfig
@@ -27,6 +27,25 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
+# config section -> (dataclass whose fields are its keys, fields left out)
+_SECTIONS = {
+    "alloc": (AllocConfig, ()),
+    "encoder": (EncoderConfig, ()),
+    "sampler": (SamplerConfig, ("seed",)),  # set per run
+    "downstream": (GoGClassifierConfig, ()),
+}
+_TYPES = {kind.__name__: kind for kind in (bool, int, float, str)}
+
+
+def _section_schema(section: str) -> dict[str, tuple[type, object]]:
+    cls, skipped = _SECTIONS[section]
+    return {
+        f"{section}.{f.name}": (_TYPES[f.type], f.default)
+        for f in fields(cls)
+        if f.name not in skipped
+    }
+
+
 # key -> (python type, default); None default means "no default"
 _SCHEMA: dict[str, tuple[type, object]] = {
     "dataset.kind": (str, "tudataset"),
@@ -46,25 +65,12 @@ _SCHEMA: dict[str, tuple[type, object]] = {
     "split.train_fraction": (float, 0.5),
     "split.val_fraction": (float, 0.25),
     "split.seed": (int, 0),
+    **_section_schema("alloc"),
     "alloc.d_bar": (float, None),  # required: the experiment-defining budget
-    "alloc.k_min": (int, 3),
-    "alloc.k_max": (int, 100),
-    "alloc.rho1": (float, 5.0),
-    "alloc.rho2": (float, 3.0),
-    "alloc.window_r": (int, 20),
-    "alloc.per_capita_class_split": (bool, False),
-    "encoder.arch": (str, "gcn"),
-    "encoder.num_layers": (int, 2),
-    "encoder.hidden_dim": (int, 32),
-    "encoder.dropout": (float, 0.0),
-    "encoder.epsilon_gin": (float, 0.0),
-    "encoder.readout": (str, "mean"),
+    **_section_schema("encoder"),
     "encoder.lr": (float, 0.01),
-    "sampler.mode": (str, WITHOUT_REPLACEMENT),
-    "sampler.samples_per_epoch": (int, 1),
-    "downstream.num_layers": (int, 2),
-    "downstream.hidden_dim": (int, 64),
-    "downstream.dropout": (float, 0.0),
+    **_section_schema("sampler"),
+    **_section_schema("downstream"),
     "downstream.lr": (float, 0.01),
     "optimizer": (str, "adam"),
     "lr_schedule": (str, "constant"),
@@ -96,44 +102,22 @@ class ExperimentConfig:
     def epochs(self) -> int:
         return int(self.values["epochs"])
 
+    def _section(self, section: str, **extra):
+        cls, skipped = _SECTIONS[section]
+        names = [f.name for f in fields(cls) if f.name not in skipped]
+        return cls(**{n: self.values[f"{section}.{n}"] for n in names}, **extra)
+
     def alloc_config(self) -> AllocConfig:
-        v = self.values
-        return AllocConfig(
-            d_bar=v["alloc.d_bar"],
-            k_min=v["alloc.k_min"],
-            k_max=v["alloc.k_max"],
-            rho1=v["alloc.rho1"],
-            rho2=v["alloc.rho2"],
-            window_r=v["alloc.window_r"],
-            per_capita_class_split=v["alloc.per_capita_class_split"],
-        )
+        return self._section("alloc")
 
     def encoder_config(self) -> EncoderConfig:
-        v = self.values
-        return EncoderConfig(
-            arch=v["encoder.arch"],
-            num_layers=v["encoder.num_layers"],
-            hidden_dim=v["encoder.hidden_dim"],
-            dropout=v["encoder.dropout"],
-            epsilon_gin=v["encoder.epsilon_gin"],
-            readout=v["encoder.readout"],
-        )
+        return self._section("encoder")
 
     def sampler_config(self, seed: int) -> SamplerConfig:
-        v = self.values
-        return SamplerConfig(
-            mode=v["sampler.mode"],
-            seed=seed,
-            samples_per_epoch=v["sampler.samples_per_epoch"],
-        )
+        return self._section("sampler", seed=seed)
 
     def downstream_config(self) -> GoGClassifierConfig:
-        v = self.values
-        return GoGClassifierConfig(
-            num_layers=v["downstream.num_layers"],
-            hidden_dim=v["downstream.hidden_dim"],
-            dropout=v["downstream.dropout"],
-        )
+        return self._section("downstream")
 
 
 def _coerce(key: str, raw: str):

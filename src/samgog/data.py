@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .degree_alloc import largest_remainder
 from .rng import generator
 
 NODE_LABEL_ONEHOT = "node-label-onehot"
@@ -452,12 +453,9 @@ def make_class_imbalanced_split(
     minor = 1 - major
 
     maj_share = n_train * rho_class / (1.0 + rho_class)
-    want = {major: maj_share, minor: n_train - maj_share}
-    floored = {c: int(math.floor(want[c])) for c in want}
-    leftover = n_train - sum(floored.values())
-    for c in sorted(want, key=lambda c: (floored[c] - want[c], c))[:leftover]:
-        floored[c] += 1
-    counts = floored
+    want = np.empty(2)
+    want[major], want[minor] = maj_share, n_train - maj_share
+    counts = largest_remainder(want, n_train)
 
     if counts[minor] < 1:
         raise SplitError(

@@ -11,10 +11,12 @@ rounding, ties broken by ascending index, so totals are conserved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import GraphDataset, SplitSpec
+if TYPE_CHECKING:
+    from .data import GraphDataset, SplitSpec
 
 
 class InfeasibleAllocationError(Exception):
@@ -163,8 +165,9 @@ def allocate_degrees(
     """Run the three allocation stages and clamp to bounds.
 
     Nodes pushed above k_max are capped and their excess flows to the
-    unclamped nodes with the highest real-valued entitlement, iterating until
-    every node is inside [k_min, k_max] and the total is untouched.
+    unclamped nodes with the highest real-valued entitlement, each filled up
+    to k_max in turn, so every node is inside [k_min, k_max] and the total is
+    untouched.
     """
     n = len(dataset)
     if n < 2:
@@ -219,27 +222,19 @@ def allocate_degrees(
             k[unlabeled] += largest_remainder(shares, delta_u)
             entitlement[unlabeled] += shares
 
-    # clamp-and-redistribute fixpoint
-    while True:
-        over = k > config.k_max
-        excess = int((k[over] - config.k_max).sum())
-        if excess == 0:
-            break
+    # clamp, then fill the open nodes' room in entitlement order; no node
+    # ends above k_max, so one pass suffices
+    over = k > config.k_max
+    excess = int((k[over] - config.k_max).sum())
+    if excess:
         k[over] = config.k_max
         open_nodes = np.nonzero(k < config.k_max)[0]
-        if open_nodes.size == 0:
+        order = open_nodes[np.lexsort((open_nodes, -entitlement[open_nodes]))]
+        room = config.k_max - k[order]
+        filled = np.cumsum(room)
+        if filled.size == 0 or filled[-1] < excess:
             raise InfeasibleAllocationError("no capacity left to absorb excess")
-        order = open_nodes[
-            np.lexsort((open_nodes, -entitlement[open_nodes]))
-        ]
-        for i in order:
-            if excess == 0:
-                break
-            give = min(excess, config.k_max - int(k[i]))
-            k[i] += give
-            excess -= give
-        if excess:
-            raise InfeasibleAllocationError("no capacity left to absorb excess")
+        k[order] += np.clip(excess - filled + room, 0, room)
 
     alloc = DegreeAllocation(k=k, total=total)
     alloc.check_bounds(config)

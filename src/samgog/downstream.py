@@ -30,6 +30,7 @@ from .nn import (
     SymmetricOperator,
     TrainingError,
     cross_entropy_and_dlogits,
+    dropout_mask,
     init_model_state,
     optimizer_step,
     propagate_backward_inplace,
@@ -139,7 +140,7 @@ def _downstream_forward(prop, h, views, config, rng, train):
         x, cache = propagate_forward(prop, x, w, activation=not last, bias=b)
         mask = None
         if p > 0.0 and not last:
-            mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
+            mask = dropout_mask(rng, x.shape, p)
             x = x * mask
         caches.append((cache, mask))
     return x, caches
@@ -331,6 +332,11 @@ def train_full_pipeline(
     allocation = allocate_degrees(split, dataset, alloc_config)
     op = build_operators(dataset, encoder_config)
 
+    def sampler_for(logits):
+        prob = build_prob_matrix(logits, train_only, train_mask)
+        sim = similarity_matrix(prob, zero_diagonal=True)
+        return GoGSampler(sim, allocation, sampler_config)
+
     enc_state = init_encoder_state(
         dataset, encoder_config, seed,
         optimizer=optimizer, learning_rate=encoder_lr, schedule=lr_schedule,
@@ -359,9 +365,7 @@ def train_full_pipeline(
                 # similarity must come from a dropout-free pass
                 h, logits = encode_dataset(dataset, encoder_config, enc_state, op=op)
         _check_finite(f"encoder step at epoch {epoch}", enc_loss, enc_grad, h, logits)
-        prob = build_prob_matrix(logits, train_only, train_mask)
-        sim = similarity_matrix(prob, zero_diagonal=True)
-        sampler = GoGSampler(sim, allocation, sampler_config)
+        sampler = sampler_for(logits)
 
         grad_sum = np.zeros_like(down_state.params)
         loss_sum = 0.0
@@ -421,9 +425,7 @@ def train_full_pipeline(
     with np.errstate(all="ignore"):
         h, logits = encode_dataset(dataset, encoder_config, enc_state, op=op)
     _check_finite(final, h, logits)
-    prob = build_prob_matrix(logits, train_only, train_mask)
-    sim = similarity_matrix(prob, zero_diagonal=True)
-    sampler = GoGSampler(sim, allocation, sampler_config)
+    sampler = sampler_for(logits)
     with np.errstate(all="ignore"):
         test_logits, eval_gogs = _mean_eval_logits(
             sampler, h, down_state, downstream_config, _FINAL_STREAM_BASE, n_eval

@@ -21,6 +21,7 @@ from .nn import (
     ParamSpec,
     SymmetricOperator,
     cross_entropy_and_dlogits,
+    dropout_mask,
     init_model_state,
     mlp2_backward,
     mlp2_forward,
@@ -153,10 +154,6 @@ def gin_layer_forward(
 # ---------------------------------------------------------------------------
 
 
-def _dropout_mask(rng, shape, p):
-    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
-
-
 def _forward(dataset, config, views, rng, train, op):
     """Returns (H, logits, cache).  Each layer is one pass over every graph's
     nodes; its dropout mask is one draw from ``rng`` over all of them."""
@@ -178,7 +175,7 @@ def _forward(dataset, config, views, rng, train, op):
             x, cache = mlp2_forward(op @ x, w1, b1, w2, b2)
         mask = None
         if p > 0.0:
-            mask = _dropout_mask(rng, x.shape, p)
+            mask = dropout_mask(rng, x.shape, p)
             x = x * mask
         layer_caches.append((cache, mask))
     h = np.add.reduceat(x, np.cumsum(sizes) - sizes, axis=0)
@@ -191,7 +188,7 @@ def _forward(dataset, config, views, rng, train, op):
     r1 = relu(z1)
     head_mask = None
     if p > 0.0:
-        head_mask = _dropout_mask(rng, r1.shape, p)
+        head_mask = dropout_mask(rng, r1.shape, p)
         r1_dropped = r1 * head_mask
     else:
         r1_dropped = r1

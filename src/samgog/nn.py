@@ -75,6 +75,12 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:
+    """Inverted-dropout mask: each entry is kept with probability 1 - p and
+    scaled by 1 / (1 - p), so the expected activation is unchanged."""
+    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction."""
     z = logits - logits.max(axis=1, keepdims=True)

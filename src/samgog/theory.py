@@ -24,10 +24,10 @@ from .degree_alloc import (
 )
 from .downstream import (
     GoGClassifierConfig,
+    downstream_forward,
     downstream_loss_and_grad,
     gog_propagation_matrix,
     init_downstream_state,
-    _downstream_forward,
 )
 from .nn import SCHEDULE_INVERSE, SymmetricOperator, optimizer_step
 from .rng import generator, mix
@@ -38,7 +38,7 @@ from .sampler import (
     empirical_inclusion_matrix,
     expected_inclusion_matrix,
 )
-from .similarity import SimilarityMatrix, homophily_prob
+from .similarity import FactorSimilarity, SimilarityMatrix, homophily_prob
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,7 @@ def _variance_task(seed: int, n: int = 24):
     p = np.zeros((n, 2))
     p[np.arange(n), labels] = own
     p[np.arange(n), 1 - labels] = 1.0 - own
-    s = p @ p.T
-    np.fill_diagonal(s, 0.0)
-    sim = SimilarityMatrix(S=np.clip(0.5 * (s + s.T), 0.0, 1.0), diagonal_zeroed=True)
+    sim = FactorSimilarity(P=p, diagonal_zeroed=True)
     k = np.full(n, 4, dtype=np.int64)
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     h = rng.normal(size=(n, 6)) + 0.8 * p @ np.array([[1.0] * 3 + [0.0] * 3,
@@ -292,9 +290,7 @@ def check_variance_decay(
                     )
                     grad_sum = grad if grad_sum is None else grad_sum + grad
                 optimizer_step(state, grad_sum / t)
-            final, _ = _downstream_forward(
-                full_prop, h, state.views(), config, state.rng, train=False
-            )
+            final = downstream_forward(full_prop, h, state, config, train=False)
             finals.append(final.ravel())
         stacked = np.vstack(finals)
         variances.append(float(stacked.var(axis=0, ddof=1).mean()))
@@ -400,10 +396,8 @@ def check_rule_monotonicity(num_trials: int = 1000, seed: int = 0) -> CheckRepor
         if not population_mass(p, labels).valid():
             skipped += 1
             continue
-        s = p @ p.T  # self-similarity kept: the comparison context
-        sim = SimilarityMatrix(
-            S=np.clip(0.5 * (s + s.T), 0.0, 1.0), diagonal_zeroed=False
-        )
+        # self-similarity kept: the comparison context
+        sim = FactorSimilarity(P=p, diagonal_zeroed=False)
         prob_labeled = homophily_prob(sim, labels, 0)
         prob_unlabeled = homophily_prob(sim, labels, 1)
         if not prob_labeled > prob_unlabeled:

@@ -26,6 +26,54 @@ seed = 5
 """
 
 
+# every config key's (type, default); None means the key has no default
+SCHEMA_TABLE = {
+    "dataset.kind": (str, "tudataset"),
+    "dataset.path": (str, None),
+    "dataset.name": (str, None),
+    "dataset.feature_scheme": (str, "auto"),
+    "dataset.degree_cap": (int, 256),
+    "dataset.num_graphs": (int, 200),
+    "dataset.noise": (float, 1.0),
+    "dataset.signal": (float, 1.0),
+    "dataset.feature_dim": (int, 4),
+    "dataset.min_nodes": (int, 8),
+    "dataset.max_nodes": (int, 16),
+    "dataset.edge_prob": (float, 0.3),
+    "split.file": (str, None),
+    "split.rho_class": (float, 1.0),
+    "split.train_fraction": (float, 0.5),
+    "split.val_fraction": (float, 0.25),
+    "split.seed": (int, 0),
+    "alloc.d_bar": (float, None),
+    "alloc.k_min": (int, 3),
+    "alloc.k_max": (int, 100),
+    "alloc.rho1": (float, 5.0),
+    "alloc.rho2": (float, 3.0),
+    "alloc.window_r": (int, 20),
+    "alloc.per_capita_class_split": (bool, False),
+    "encoder.arch": (str, "gcn"),
+    "encoder.num_layers": (int, 2),
+    "encoder.hidden_dim": (int, 32),
+    "encoder.dropout": (float, 0.0),
+    "encoder.epsilon_gin": (float, 0.0),
+    "encoder.readout": (str, "mean"),
+    "encoder.lr": (float, 0.01),
+    "sampler.mode": (str, "without-replacement"),
+    "sampler.samples_per_epoch": (int, 1),
+    "downstream.num_layers": (int, 2),
+    "downstream.hidden_dim": (int, 64),
+    "downstream.dropout": (float, 0.0),
+    "downstream.lr": (float, 0.01),
+    "optimizer": (str, "adam"),
+    "lr_schedule": (str, "constant"),
+    "eval_samples": (int, 0),
+    "epochs": (int, 100),
+    "runs": (int, 1),
+    "seed": (int, 0),
+}
+
+
 class TestConfigParsing:
     def test_good_config_parses(self):
         cfg = config.parse_config_text(GOOD_CONFIG)
@@ -33,6 +81,12 @@ class TestConfigParsing:
         assert cfg.epochs == 6
         assert cfg.alloc_config().d_bar == 4.0
         assert cfg.encoder_config().hidden_dim == 5
+
+    def test_every_key_type_and_default(self):
+        def typed(schema):
+            return {k: (kind, d, type(d)) for k, (kind, d) in schema.items()}
+
+        assert typed(config._SCHEMA) == typed(SCHEMA_TABLE)
 
     def test_missing_d_bar_names_field(self):
         text = GOOD_CONFIG.replace("alloc.d_bar = 4", "")

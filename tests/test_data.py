@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,21 @@ class TestParser:
             assert back.edges == orig.edges
             assert back.label == orig.label
             assert back.node_labels == orig.node_labels
+
+
+class TestInputGraph:
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((0, 3),), r"graph 7: edge \(0, 3\) outside \[0, 3\)"),
+            (((-1, 1),), r"graph 7: edge \(-1, 1\) outside \[0, 3\)"),
+            (((2, 1),), r"graph 7: edge \(2, 1\) not canonicalized"),
+            (((0, 1), (1, 2), (0, 1)), r"graph 7: duplicate edge \(0, 1\)"),
+        ],
+    )
+    def test_bad_edge_names_graph_and_edge(self, edges, message):
+        with pytest.raises(data.IntegrityError, match=message):
+            data.InputGraph(id=7, edges=edges, node_features=np.ones((3, 1)), label=0)
 
 
 class TestFeatures:
@@ -255,6 +272,33 @@ class TestSplits:
         # moving one graph across classes must bracket the requested ratio
         assert (hi - 1) / (lo + 1) <= rho <= (hi + 1) / max(lo - 1, 1)
         assert got == hi / lo
+
+    @staticmethod
+    def rounded_counts(n_train, rho, major):
+        """Per-class train counts by largest remainder written out by hand:
+        floor both shares, then the leftover graph goes to the larger
+        fraction, ties to the lower class index."""
+        maj_share = n_train * rho / (1.0 + rho)
+        want = {major: maj_share, 1 - major: n_train - maj_share}
+        counts = {c: math.floor(w) for c, w in want.items()}
+        leftover = n_train - sum(counts.values())
+        for c in sorted(want, key=lambda c: (counts[c] - want[c], c))[:leftover]:
+            counts[c] += 1
+        return [counts[0], counts[1]]
+
+    @pytest.mark.parametrize("major", [0, 1])
+    @pytest.mark.parametrize(
+        "n_train, rho",
+        # majority shares 7.5, 5.5, 10.5 and 13.5 are exact .5 ties
+        [(10, 3.0), (11, 1.0), (12, 7.0), (15, 9.0), (20, 9.0), (17, 2.5),
+         (13, 1.7), (20, 1.0), (19, 4.0)],
+    )
+    def test_train_counts_follow_largest_remainder(self, n_train, rho, major):
+        labels = [major] * 22 + [1 - major] * 18
+        ds = data.make_path_graph_dataset([3] * 40, labels=labels)
+        split = data.make_class_imbalanced_split(ds, rho, n_train / 40, 0.25, seed=2)
+        counts = np.bincount(ds.labels()[list(split.train_idx)], minlength=2)
+        assert counts.tolist() == self.rounded_counts(n_train, rho, major)
 
     def test_infeasible_ratio_reports_max_achievable(self):
         ds = data.make_path_graph_dataset([3] * 20, labels=[0] * 12 + [1] * 8)

@@ -1,6 +1,9 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from samgog import data
 from samgog import degree_alloc as da
@@ -206,6 +209,80 @@ class TestAllocateDegrees:
         alloc = da.allocate_degrees(split, ds, config)
         assert alloc.k.sum() == da.target_total_degree(n, d_bar)
         assert np.all(alloc.k >= k_min) and np.all(alloc.k <= k_max)
+
+    @staticmethod
+    def clamped_by_fixpoint(split, ds, config):
+        """The allocation by a clamp-and-redistribute loop run to its
+        fixpoint, one node at a time, from the unclamped allocation and the
+        real-valued entitlements recomputed from the stage functions."""
+        n = len(ds)
+        k = da.allocate_degrees(split, ds, replace(config, k_max=10**9)).k.copy()
+        labeled = np.array(sorted(split.train_idx))
+        unlabeled = np.array(sorted(set(range(n)) - set(split.train_idx)), dtype=int)
+        entitlement = np.full(n, float(config.k_min))
+        surplus = da.target_total_degree(n, config.d_bar) - n * config.k_min
+        if surplus > 0:
+            delta_l, delta_u = (surplus, 0) if unlabeled.size == 0 else (
+                da.labeled_priority_split(surplus, labeled.size, unlabeled.size, config.rho1)
+            )
+            labels, sizes = ds.labels(), ds.sizes()
+            per_class = da.class_group_split(
+                delta_l, np.bincount(labels[labeled], minlength=ds.num_classes),
+                config.rho2, per_capita=config.per_capita_class_split,
+            )
+            for c in range(ds.num_classes):
+                members = labeled[labels[labeled] == c]
+                if members.size:
+                    entitlement[members] += per_class[c] / members.size
+            if unlabeled.size:
+                w = da.size_window_weights(sizes[unlabeled], sizes[labeled], config.window_r)
+                entitlement[unlabeled] += delta_u * w / w.sum()
+        while True:
+            over = k > config.k_max
+            excess = int((k[over] - config.k_max).sum())
+            if excess == 0:
+                return k
+            k[over] = config.k_max
+            open_nodes = np.nonzero(k < config.k_max)[0]
+            for i in open_nodes[np.lexsort((open_nodes, -entitlement[open_nodes]))]:
+                give = min(excess, config.k_max - int(k[i]))
+                k[i] += give
+                excess -= give
+            assert excess == 0
+
+    @given(
+        n=st.integers(min_value=4, max_value=40),
+        d_extra=st.floats(min_value=0.5, max_value=6.0),
+        k_min=st.integers(min_value=0, max_value=4),
+        cap=st.floats(min_value=0.0, max_value=1.0),
+        rho1=st.floats(min_value=1.0, max_value=9.0),
+        rho2=st.floats(min_value=1.0, max_value=9.0),
+        per_capita=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_clamp_matches_fixpoint_oracle(
+        self, n, d_extra, k_min, cap, rho1, rho2, per_capita, seed
+    ):
+        rng = np.random.default_rng(seed)
+        sizes = [int(s) for s in rng.integers(3, 40, size=n)]
+        labels = [0, 1] + [int(x) for x in rng.integers(0, 2, size=n - 2)]
+        ds = data.make_path_graph_dataset(sizes, labels=labels)
+        train = {0, 1} | {int(i) for i in rng.choice(n, size=int(rng.integers(0, n - 1)))}
+        split = data.SplitSpec(train_idx=tuple(sorted(train)), val_idx=(),
+                               test_idx=tuple(sorted(set(range(n)) - train)))
+        d_bar = k_min + d_extra
+        unclamped = da.AllocConfig(
+            d_bar=d_bar, k_min=k_min, k_max=10**9, rho1=rho1, rho2=rho2,
+            window_r=int(rng.integers(0, 10)), per_capita_class_split=per_capita,
+        )
+        top = int(da.allocate_degrees(split, ds, unclamped).k.max())
+        lowest = math.ceil(d_bar)
+        assume(lowest < top)
+        # a k_max below the largest unclamped degree, so the clamp acts
+        config = replace(unclamped, k_max=lowest + int(cap * (top - 1 - lowest)))
+        alloc = da.allocate_degrees(split, ds, config)
+        assert alloc.k.tolist() == self.clamped_by_fixpoint(split, ds, config).tolist()
 
     def test_within_group_ordering(self):
         ds, split = fixture_dataset_and_split()
