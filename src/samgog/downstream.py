@@ -311,11 +311,12 @@ def train_full_pipeline(
     """Train encoder and GoG classifier per the sampled-GoG recipe and
     evaluate on the test indices.
 
-    Per epoch: one encoder step on its supervised loss; rebuild P and S from
-    eval-mode logits; sample ``samples_per_epoch`` GoGs and take one
-    downstream step on the mean gradient.  Model selection keeps the
-    parameters with the best validation balanced accuracy; test metrics come
-    from mean logits over fresh GoGs sampled at evaluation time.
+    Per epoch: the encoder's supervised loss and gradient; P and S rebuilt
+    from its eval-mode logits; ``samples_per_epoch`` GoGs sampled and one
+    downstream step on the mean gradient; validation; then the encoder step.
+    Model selection keeps the parameters with the best validation balanced
+    accuracy, i.e. the encoder whose embeddings were scored; test metrics
+    come from mean logits over fresh GoGs sampled at evaluation time.
     """
     split.validate(dataset)
     if len(split.train_idx) == 0:
@@ -384,7 +385,6 @@ def train_full_pipeline(
             homo_vals.append(_observable_homophily(gog, observable))
         down_loss = loss_sum / t
         optimizer_step(down_state, grad_sum / t)
-        optimizer_step(enc_state, enc_grad)
 
         if val_list:
             with np.errstate(all="ignore"):
@@ -406,6 +406,7 @@ def train_full_pipeline(
                 encoder=enc_state.params.copy(),
                 downstream=down_state.params.copy(),
             )
+        optimizer_step(enc_state, enc_grad)  # after selection, which scored h
         curve.append(
             CurvePoint(
                 epoch=epoch,

@@ -3,9 +3,10 @@ import pytest
 
 from samgog import data, nn
 from samgog import downstream as ds_mod
-from samgog.degree_alloc import AllocConfig
-from samgog.encoder import EncoderConfig
-from samgog.sampler import GoGGraph, SamplerConfig, WITHOUT_REPLACEMENT
+from samgog.degree_alloc import AllocConfig, allocate_degrees
+from samgog.encoder import EncoderConfig, encode_dataset
+from samgog.sampler import GoGGraph, GoGSampler, SamplerConfig, WITHOUT_REPLACEMENT
+from samgog.similarity import build_prob_matrix, similarity_matrix
 
 
 def make_gog(edge_rows, n):
@@ -255,16 +256,64 @@ class TestFullPipeline:
         "epochs, rates, stage",
         [
             (3, {"downstream_lr": 1e200}, "validation forward at epoch 1"),
-            (1, {"encoder_lr": 1e150}, "final evaluation with the parameters of epoch 1"),
+            # without a validation set the last epoch is selected, with its
+            # diverged downstream step
+            (1, {"downstream_lr": 1e200, "val_fraction": 0.0},
+             "final evaluation with the parameters of epoch 1"),
         ],
     )
     def test_divergence_names_the_stage(self, epochs, rates, stage):
+        rates = dict(rates)
+        val_fraction = rates.pop("val_fraction", 0.25)
         ds = data.make_planted_dataset(num_graphs=20, seed=14, noise=0.5)
-        split = data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.25, seed=15)
+        split = data.make_class_imbalanced_split(ds, 1.0, 0.5, val_fraction, seed=15)
         with pytest.raises(nn.TrainingError, match=stage):
             ds_mod.train_full_pipeline(
                 ds, split, epochs=epochs, seed=16, **rates, **pipeline_configs()
             )
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_encoder_step_is_not_selected(self):
+        # epoch 1 scores the initial encoder; its diverged step comes after
+        ds = data.make_planted_dataset(num_graphs=20, seed=14, noise=0.5)
+        split = data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.25, seed=15)
+        res = ds_mod.train_full_pipeline(
+            ds, split, epochs=1, seed=16, encoder_lr=1e150, **pipeline_configs()
+        )
+        assert np.isfinite(res.metrics.balanced_accuracy)
+        assert np.isfinite(res.metrics.edge_homophily_mean)
+
+    @pytest.mark.parametrize("dataset_seed", [22, 23])
+    def test_selected_parameters_reproduce_the_best_validation_score(self, dataset_seed):
+        ds = data.make_planted_dataset(num_graphs=40, seed=dataset_seed, noise=0.8)
+        split = data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.25, seed=21)
+        cfg = pipeline_configs()
+        res = ds_mod.train_full_pipeline(ds, split, epochs=10, seed=22, **cfg)
+        best = max(p.val_balanced_accuracy for p in res.curve)
+        # ties keep the later epoch
+        epoch = max(p.epoch for p in res.curve if p.val_balanced_accuracy == best)
+
+        # re-score the selected parameters on that epoch's validation streams
+        observable = data.labels_with_test_masked(ds, split)
+        train_only = np.full(len(ds), -1)
+        train_only[list(split.train_idx)] = observable[list(split.train_idx)]
+        h, logits = encode_dataset(ds, cfg["encoder_config"], res.encoder)
+        prob = build_prob_matrix(logits, train_only, train_only >= 0)
+        sampler = GoGSampler(
+            similarity_matrix(prob),
+            allocate_degrees(split, ds, cfg["alloc_config"]),
+            cfg["sampler_config"],
+        )
+        n_eval = cfg["sampler_config"].samples_per_epoch
+        val_logits, _ = ds_mod._mean_eval_logits(
+            sampler, h, res.downstream, cfg["downstream_config"],
+            ds_mod._EVAL_STREAM_BASE + epoch * n_eval, n_eval,
+        )
+        val = list(split.val_idx)
+        score = ds_mod.compute_metrics(
+            val_logits[val].argmax(axis=1), observable[val], num_classes=2
+        ).balanced_accuracy
+        assert score == best
 
 
 def test_encoder_baseline_runs_and_scores():
