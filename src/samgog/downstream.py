@@ -323,6 +323,8 @@ def train_full_pipeline(
         raise TrainingError("training requires a non-empty labeled train set")
     t = sampler_config.samples_per_epoch
     n_eval = eval_samples if eval_samples is not None else max(t, 1)
+    if n_eval < 1:
+        raise ValueError(f"eval_samples must be >= 1, got {eval_samples}")
 
     observable = labels_with_test_masked(dataset, split)
     train_only = np.full(len(dataset), -1, dtype=np.int64)

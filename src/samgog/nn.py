@@ -140,6 +140,14 @@ class SymmetricOperator:
                  normalize: bool = False):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
+        if src.shape != dst.shape:
+            raise ValueError(f"{src.size} edge sources but {dst.size} destinations")
+        outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(
+                f"edge ({src[i]}, {dst[i]}) has an endpoint outside [0, {n})"
+            )
         weight = np.broadcast_to(np.asarray(weight, dtype=np.float64), src.shape)
         nodes = np.arange(n)
         rows = np.concatenate((nodes, src, dst))

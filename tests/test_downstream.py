@@ -272,6 +272,14 @@ class TestFullPipeline:
                 ds, split, epochs=epochs, seed=16, **rates, **pipeline_configs()
             )
 
+    def test_zero_eval_samples_rejected_by_name(self):
+        ds = data.make_planted_dataset(num_graphs=20, seed=14, noise=0.5)
+        split = data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.25, seed=15)
+        with pytest.raises(ValueError, match="eval_samples must be >= 1, got 0"):
+            ds_mod.train_full_pipeline(
+                ds, split, epochs=1, seed=16, eval_samples=0, **pipeline_configs()
+            )
+
     @pytest.mark.filterwarnings("error")
     def test_diverging_encoder_step_is_not_selected(self):
         # epoch 1 scores the initial encoder; its diverged step comes after

@@ -151,6 +151,19 @@ def test_chunked_product_is_byte_identical(graph, normalize, eps, d, chunk, seed
     assert np.allclose(got, oracle @ x, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "src, dst, message",
+    [
+        ([0, 1], [1], "2 edge sources but 1 destinations"),
+        ([-1], [1], r"edge \(-1, 1\) has an endpoint outside \[0, 3\)"),
+        ([0, 2], [1, 3], r"edge \(2, 3\) has an endpoint outside \[0, 3\)"),
+    ],
+)
+def test_symmetric_operator_rejects_bad_edges(src, dst, message):
+    with pytest.raises(ValueError, match=message):
+        nn.SymmetricOperator(3, src, dst, 1.0)
+
+
 def test_symmetric_operator_rejects_wrong_shape():
     op = nn.SymmetricOperator(3, [0, 1], [1, 2], 1.0)
     for x in (np.ones((5, 2)), np.ones((2, 2)), np.ones(3), np.ones((3, 2, 1))):
