@@ -136,7 +136,8 @@ def run_experiment(
     results = [_run_one(config, dataset, split, r) for r in range(config.runs)]
 
     rows = [
-        [r, mix(config.seed, r), *(getattr(res.metrics, c) for c in METRIC_COLUMNS[2:])]
+        [r, mix(config.seed, r),
+         *(getattr(res.metrics, column) for column in METRIC_COLUMNS[2:])]
         for r, res in enumerate(results)
     ]
 
@@ -208,7 +209,7 @@ def emit_homophily_sweep(
 
     path = os.path.join(out_dir, "homophily_sweep.csv")
     with open(path, "w") as f:
-        f.write(_csv_row(("d_bar", "homophily_mean", "homophily_std", "expected_homophily")))
+        f.write("d_bar,homophily_mean,homophily_std,expected_homophily\n")
         for d_bar in degree_values:
             base = config.alloc_config()
             # keep low-degree sweep points feasible: the floor cannot sit

@@ -142,9 +142,9 @@ class SymmetricOperator:
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise ValueError(f"{src.size} edge sources but {dst.size} destinations")
-        outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-        if outside.any():
-            i = int(np.argmax(outside))
+        if src.size and not (0 <= min(src.min(), dst.min())
+                             and max(src.max(), dst.max()) < n):
+            i = int(np.argmax((src < 0) | (src >= n) | (dst < 0) | (dst >= n)))
             raise ValueError(
                 f"edge ({src[i]}, {dst[i]}) has an endpoint outside [0, {n})"
             )
