@@ -156,6 +156,8 @@ def _validate(values: dict) -> None:
         raise ConfigError("runs: must be >= 1")
     if values["epochs"] < 0:
         raise ConfigError("epochs: must be >= 0")
+    if not 0.0 <= values["split.val_fraction"] <= 1.0:
+        raise ConfigError("split.val_fraction: must lie in [0, 1]")
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:

@@ -439,6 +439,8 @@ def make_class_imbalanced_split(
         raise SplitError("class-imbalanced split generation requires 2 classes")
     if rho_class < 1:
         raise SplitError(f"rho_class must be >= 1, got {rho_class}")
+    if not 0.0 <= val_fraction <= 1.0:
+        raise SplitError(f"val_fraction must lie in [0, 1], got {val_fraction}")
     labels = dataset.labels()
     if np.any(labels < 0):
         raise SplitError("split generation requires labels on every graph")

@@ -321,6 +321,8 @@ def train_full_pipeline(
     split.validate(dataset)
     if len(split.train_idx) == 0:
         raise TrainingError("training requires a non-empty labeled train set")
+    if len(split.test_idx) == 0:
+        raise TrainingError("pipeline evaluation requires a non-empty test set")
     t = sampler_config.samples_per_epoch
     n_eval = eval_samples if eval_samples is not None else max(t, 1)
     if n_eval < 1:
@@ -437,8 +439,6 @@ def train_full_pipeline(
 
     labels_true = dataset.labels()
     test_list = list(split.test_idx)
-    if not test_list:
-        raise TrainingError("pipeline evaluation requires a non-empty test set")
     predictions = test_logits[test_list].argmax(axis=1)
 
     head, tail = (None, None)

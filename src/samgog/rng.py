@@ -46,10 +46,12 @@ def mix(*parts: int) -> int:
     return acc
 
 
-def _mix_array(x: np.ndarray) -> np.ndarray:
+def _mix_array(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     # vectorized splitmix64 output function, applied in place to an array of
-    # uint64 counters; one scratch array holds the shifted terms
-    t = np.empty_like(x)
+    # uint64 counters; one scratch array ``t`` of x's shape holds the shifted
+    # terms
+    if t is None:
+        t = np.empty_like(x)
     x += _U_GOLDEN
     np.right_shift(x, _SHIFT30, out=t)
     x ^= t
@@ -81,12 +83,11 @@ def key_uniforms(
     Default range is [0, 1); with ``open_low`` the range is (0, 1], which is
     what log-of-uniform perturbed keys need.  ``out``, a float64 array of the
     broadcast shape, receives the values, so a caller drawing block after
-    block can reuse one buffer.
+    block can reuse one buffer; its memory also serves as the mixing scratch.
     """
+    bits = np.asarray(np.add(keys, counters, dtype=np.uint64, casting="unsafe"))
     with np.errstate(over="ignore"):
-        bits = _mix_array(
-            np.asarray(np.add(keys, counters, dtype=np.uint64, casting="unsafe"))
-        )
+        _mix_array(bits, None if out is None else out.view(np.uint64))
     bits >>= _SHIFT11
     if open_low:
         out = np.add(bits, 1.0, out=out)

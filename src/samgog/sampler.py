@@ -11,7 +11,11 @@ row's top k_i in a row-wise partition of the key matrix.  That mode streams
 the similarity in row blocks of about ``_BLOCK_BYTES`` (``rows(r0, r1)`` of
 the factor form), so it never holds an N x N array; each block's keys and
 partition are those of the whole matrix, so blocking leaves the edges as
-they are.
+they are.  The blocks of one draw, and of the preparation pass that counts
+each row's mass and support, are spread over every usable CPU: the caller's
+thread and a shared pool of threads pull whole blocks from one queue, and
+each block writes only its own rows.  The block boundaries stay fixed,
+because the bits of a ``rows`` product depend on them.
 
 Per-node randomness is keyed by (seed, stream id, node id) counters, so one
 sample is reproducible bit-for-bit regardless of how rows are scheduled.
@@ -19,7 +23,11 @@ sample is reproducible bit-for-bit regardless of how rows are scheduled.
 
 from __future__ import annotations
 
+import collections
 import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +43,44 @@ WITHOUT_REPLACEMENT = "without-replacement"
 
 # bytes of one float64 block of similarity rows in the without-replacement
 # draw (2**16 entries); a block holds at least one row.  The draw makes about
-# six block-sized temporaries, and at N = 2000-4000 a sample took 30% less
-# time with 512 KiB blocks than with 1 MiB ones.
+# six block-sized temporaries per thread, and at N = 2000-4000 a sample took
+# 30% less time with 512 KiB blocks than with 1 MiB ones.  Threads share out
+# whole blocks and never split one: a block product P[r0:r1] P^T can differ
+# in the last bit when its rows change, so the boundaries fix the edges.
 _BLOCK_BYTES = 1 << 19
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+# threads that work on the row blocks of one call: the caller's own and
+# _WORKERS - 1 from the pool
+_WORKERS = _usable_cpus()
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's pool, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="samgog-blocks")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads; it makes its own pool
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _block_rows(n: int) -> int:
@@ -50,6 +93,43 @@ def _row_blocks(n: int):
     rows = _block_rows(n)
     for r0 in range(0, n, rows):
         yield r0, min(n, r0 + rows)
+
+
+def _map_blocks(n: int, part) -> None:
+    """Call ``part(blocks)`` on min(_WORKERS, block count) threads, the
+    caller's among them.  Each call iterates over whole row blocks of n rows,
+    pulled from one shared queue until it is empty, so every block goes to
+    exactly one call.  One block runs in the caller's thread alone.  Returns
+    once every call has ended, and raises the first error among them."""
+    todo = collections.deque(_row_blocks(n))
+
+    def pull():
+        while True:
+            try:
+                block = todo.popleft()
+            except IndexError:
+                return
+            yield block
+
+    def run():
+        try:
+            part(pull())
+        except BaseException:
+            todo.clear()  # the other calls stop after their current block
+            raise
+
+    parts = min(_WORKERS, len(todo))
+    if parts <= 1:
+        run()
+        return
+    pool = _executor()
+    futures = [pool.submit(run) for _ in range(parts - 1)]
+    try:
+        run()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 class EmptyGoGError(Exception):
@@ -114,10 +194,15 @@ class GoGSampler:
         else:
             row_sums = np.empty(n)
             support = np.empty(n, dtype=np.int64)
-            for r0, r1 in _row_blocks(n):
-                w = sim.rows(r0, r1)
-                row_sums[r0:r1] = w.sum(axis=1)
-                support[r0:r1] = (w > 0.0).sum(axis=1)
+
+            def prepare(blocks):
+                buf = np.empty((_block_rows(n), n))
+                for r0, r1 in blocks:
+                    w = sim.rows(r0, r1, out=buf[: r1 - r0])
+                    row_sums[r0:r1] = w.sum(axis=1)
+                    support[r0:r1] = (w > 0.0).sum(axis=1)
+
+            _map_blocks(n, prepare)
         if np.any(row_sums <= 0.0):
             bad = int(np.nonzero(row_sums <= 0.0)[0][0])
             raise DegenerateRowError(
@@ -171,19 +256,29 @@ class GoGSampler:
             ke = self.k_effective
             kmax = max(int(ke.max()), 1)
             top = np.empty((n, kmax), dtype=np.int64)
-            buf = np.empty((_block_rows(n), n))
-            for r0, r1 in _row_blocks(n):
-                w = self.sim.rows(r0, r1)
-                u = key_uniforms(
-                    keys[r0:r1, None], self._node_ids[None, :],
-                    open_low=True, out=buf[: r1 - r0],
-                )
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    perturbed = np.divide(np.log(u, out=u), w, out=u)
-                perturbed[w == 0.0] = -np.inf
-                block = np.argpartition(perturbed, n - kmax, axis=1)[:, n - kmax :]
-                by_key = np.argsort(np.take_along_axis(perturbed, block, axis=1), axis=1)
-                top[r0:r1] = np.take_along_axis(block, by_key, axis=1)
+
+            def draw(blocks):
+                # buffers are this call's own, so draws may run concurrently
+                w_buf = np.empty((_block_rows(n), n))
+                u_buf = np.empty_like(w_buf)
+                for r0, r1 in blocks:
+                    w = self.sim.rows(r0, r1, out=w_buf[: r1 - r0])
+                    u = key_uniforms(
+                        keys[r0:r1, None], self._node_ids[None, :],
+                        open_low=True, out=u_buf[: r1 - r0],
+                    )
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        perturbed = np.divide(np.log(u, out=u), w, out=u)
+                    perturbed[w == 0.0] = -np.inf
+                    # a copy, so the block-sized partition output is freed
+                    # before the next block allocates its own
+                    block = np.argpartition(perturbed, n - kmax, axis=1)[:, n - kmax :].copy()
+                    by_key = np.argsort(
+                        np.take_along_axis(perturbed, block, axis=1), axis=1
+                    )
+                    top[r0:r1] = np.take_along_axis(block, by_key, axis=1)
+
+            _map_blocks(n, draw)
             cols = np.arange(kmax)
             top[cols < (kmax - ke)[:, None]] = n  # dropped; sorts past the kept
             top.sort(axis=1)

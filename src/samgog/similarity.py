@@ -9,7 +9,8 @@ that independent draws from their class distributions agree.
 and builds a block of rows of S only when asked, so a sampler can stream
 S in row blocks without ever holding an N x N array.  Its ``S`` property
 builds the dense matrix on demand; ``SimilarityMatrix`` holds a given dense
-S and checks it.  Both give a block of rows through ``rows(r0, r1)``.
+S and checks it.  Both give a block of rows through ``rows(r0, r1)``, into
+a caller's buffer when given ``out``.
 """
 
 from __future__ import annotations
@@ -65,9 +66,13 @@ class SimilarityMatrix:
     def num_nodes(self) -> int:
         return self.S.shape[0]
 
-    def rows(self, r0: int, r1: int) -> np.ndarray:
-        """Weights of rows r0..r1-1: a view of S, not to be written to."""
-        return self.S[r0:r1]
+    def rows(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Weights of rows r0..r1-1: a view of S, not to be written to, or
+        ``out`` holding a copy."""
+        if out is None:
+            return self.S[r0:r1]
+        np.copyto(out, self.S[r0:r1])
+        return out
 
 
 @dataclass(frozen=True)
@@ -96,9 +101,10 @@ class FactorSimilarity:
             np.fill_diagonal(s, 0.0)
         return s
 
-    def rows(self, r0: int, r1: int) -> np.ndarray:
-        """Weights of rows r0..r1-1, a new (r1 - r0, N) array."""
-        w = self.P[r0:r1] @ self.P.T
+    def rows(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Weights of rows r0..r1-1, a new (r1 - r0, N) array or ``out``
+        (C-contiguous float64) filled in place; both hold the same bits."""
+        w = np.matmul(self.P[r0:r1], self.P.T, out=out)
         np.clip(w, 0.0, 1.0, out=w)
         if self.diagonal_zeroed:
             w[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0

@@ -106,6 +106,12 @@ class TestConfigParsing:
         with pytest.raises(config.ConfigError, match="dataset.path"):
             config.parse_config_text(text)
 
+    @pytest.mark.parametrize("value", ["-0.25", "1.5"])
+    def test_val_fraction_outside_unit_interval_rejected(self, value):
+        text = GOOD_CONFIG + f"\nsplit.val_fraction = {value}\n"
+        with pytest.raises(config.ConfigError, match="split.val_fraction"):
+            config.parse_config_text(text)
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = config.parse_config_text("# hi\n\n" + GOOD_CONFIG)
         assert cfg.seed == 5

@@ -305,6 +305,12 @@ class TestSplits:
         with pytest.raises(data.SplitError, match="max achievable"):
             data.make_class_imbalanced_split(ds, 15.0, 0.8, 0.1, seed=0)
 
+    @pytest.mark.parametrize("val_fraction", [-0.25, 1.5])
+    def test_val_fraction_outside_unit_interval_rejected(self, val_fraction):
+        ds = self.make_balanced(40)
+        with pytest.raises(data.SplitError, match="val_fraction"):
+            data.make_class_imbalanced_split(ds, 1.0, 0.5, val_fraction, seed=0)
+
     def test_multiclass_dataset_rejected(self):
         ds = data.make_path_graph_dataset([3] * 30, labels=[0, 1, 2] * 10)
         with pytest.raises(data.SplitError, match="2 classes"):

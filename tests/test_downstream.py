@@ -280,6 +280,22 @@ class TestFullPipeline:
                 ds, split, epochs=1, seed=16, eval_samples=0, **pipeline_configs()
             )
 
+    def test_empty_test_set_rejected_before_training(self, monkeypatch):
+        ds = data.make_planted_dataset(num_graphs=20, seed=14, noise=0.5)
+        split = data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.5, seed=15)
+        assert split.test_idx == ()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("an epoch ran on a split with no test graphs")
+
+        monkeypatch.setattr(ds_mod, "encoder_loss_and_grad", no_training)
+        with pytest.raises(
+            nn.TrainingError, match="pipeline evaluation requires a non-empty test set"
+        ):
+            ds_mod.train_full_pipeline(
+                ds, split, epochs=40, seed=16, **pipeline_configs()
+            )
+
     @pytest.mark.filterwarnings("error")
     def test_diverging_encoder_step_is_not_selected(self):
         # epoch 1 scores the initial encoder; its diverged step comes after

@@ -1,6 +1,8 @@
 import hashlib
 import logging
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -256,6 +258,113 @@ def test_without_replacement_holds_no_square_array():
         tracemalloc.stop()
     assert np.array_equal(gog.out_degrees(), k)
     assert peak < n * n * 8 / 4  # a quarter of one N x N float64 array
+
+
+def sparse_similarity(n, seed):
+    """Random symmetric weights with about a third of the pairs at zero, so
+    supports vary from row to row."""
+    rng = np.random.default_rng(seed)
+    s = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.65), 1)
+    return sim_from(s + s.T)
+
+
+def test_blocks_give_the_same_draw_on_any_number_of_threads():
+    n = 301
+    sim = sparse_similarity(n, seed=40)
+    k = np.random.default_rng(40).integers(0, 60, size=n)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    wide = DegreeAllocation(k=np.full(n, n), total=n * n)  # clamped to support
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=6)
+    expected = per_row_without_replacement(sim, k, 6, 3)
+    support = (sim.S > 0.0).sum(axis=1)
+    for workers in (1, 2, 3, 5):
+        with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", workers):
+            sampler = sp.GoGSampler(sim, alloc, config)
+            edges = sampler.sample(3).edges
+            clamped = sp.GoGSampler(sim, wide, config).k_effective
+        assert np.array_equal(edges, expected), workers
+        assert np.array_equal(sampler.k_effective, np.minimum(k, support)), workers
+        assert np.array_equal(clamped, support), workers
+
+
+class FailingRows:
+    """A similarity whose ``rows`` raises on the block starting at ``bad``
+    once ``armed`` is set."""
+
+    def __init__(self, sim, bad):
+        self.sim, self.bad, self.armed = sim, bad, False
+        self.num_nodes = sim.num_nodes
+        self.diagonal_zeroed = sim.diagonal_zeroed
+
+    def rows(self, r0, r1, out=None):
+        if self.armed and r0 == self.bad:
+            raise RuntimeError(f"rows {r0}:{r1} failed")
+        return self.sim.rows(r0, r1, out=out)
+
+
+@pytest.mark.parametrize("bad", [0, 14, 294])
+def test_block_error_reaches_the_caller(bad):
+    n = 301
+    sim = FailingRows(sparse_similarity(n, seed=41), bad)
+    k = np.full(n, 5)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=2)
+    with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", 3):
+        sampler = sp.GoGSampler(sim, alloc, config)
+        good = sampler.sample(0).edges
+        sim.armed = True
+        with pytest.raises(RuntimeError, match=f"rows {bad}:{bad + 7} failed"):
+            sampler.sample(0)
+        with pytest.raises(RuntimeError, match=f"rows {bad}:{bad + 7} failed"):
+            sp.GoGSampler(sim, alloc, config)
+        sim.armed = False
+        assert np.array_equal(sampler.sample(0).edges, good)
+
+
+def test_concurrent_callers_share_one_sampler():
+    n = 301
+    sim = sparse_similarity(n, seed=42)
+    k = np.random.default_rng(42).integers(1, 30, size=n)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=8)
+    streams = range(6)
+    switch = sys.getswitchinterval()
+    with few_rows(n, rows=5), mock.patch.object(sp, "_WORKERS", 3):
+        sampler = sp.GoGSampler(sim, alloc, config)
+        serial = [sampler.sample(i).edges for i in streams]
+        got = {}
+
+        def caller(name):
+            got[name] = [sampler.sample(i).edges for i in streams]
+
+        threads = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(got) == list(range(4))
+    for edges in got.values():
+        assert all(np.array_equal(a, b) for a, b in zip(edges, serial))
+
+
+def test_one_block_never_makes_the_pool():
+    n = 200
+    sim = sparse_similarity(n, seed=43)
+    k = np.full(n, 4)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=1)
+    assert len(list(sp._row_blocks(n))) == 1
+    no_pool = mock.patch.object(
+        sp, "_executor", side_effect=AssertionError("pool made for one block")
+    )
+    with no_pool, mock.patch.object(sp, "_WORKERS", 4):
+        gog = sp.GoGSampler(sim, alloc, config).sample(0)
+    assert np.array_equal(gog.edges, per_row_without_replacement(sim, k, 1, 0))
 
 
 def digest_fixture():
