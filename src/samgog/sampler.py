@@ -12,10 +12,11 @@ the similarity in row blocks of about ``_BLOCK_BYTES`` (``rows(r0, r1)`` of
 the factor form), so it never holds an N x N array; each block's keys and
 partition are those of the whole matrix, so blocking leaves the edges as
 they are.  The blocks of one draw, and of the preparation pass that counts
-each row's mass and support, are spread over every usable CPU: the caller's
-thread and a shared pool of threads pull whole blocks from one queue, and
-each block writes only its own rows.  The block boundaries stay fixed,
-because the bits of a ``rows`` product depend on them.
+each row's mass and support, are spread over the usable CPUs, as many as
+a fixed budget for the blocks in flight allows: the caller's thread and a
+shared pool of threads pull whole blocks from one queue, and each block
+writes only its own rows.  The block boundaries stay fixed, because the
+bits of a ``rows`` product depend on them.
 
 Per-node randomness is keyed by (seed, stream id, node id) counters, so one
 sample is reproducible bit-for-bit regardless of how rows are scheduled.
@@ -27,8 +28,8 @@ import collections
 import logging
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,17 +37,21 @@ from .degree_alloc import DegreeAllocation
 from .rng import key_uniforms, mix, vector_keys
 from .similarity import DegenerateRowError, Similarity
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 logger = logging.getLogger(__name__)
 
 WITH_REPLACEMENT = "with-replacement"
 WITHOUT_REPLACEMENT = "without-replacement"
 
 # bytes of one float64 block of similarity rows in the without-replacement
-# draw (2**16 entries); a block holds at least one row.  The draw makes about
-# six block-sized temporaries per thread, and at N = 2000-4000 a sample took
-# 30% less time with 512 KiB blocks than with 1 MiB ones.  Threads share out
-# whole blocks and never split one: a block product P[r0:r1] P^T can differ
-# in the last bit when its rows change, so the boundaries fix the edges.
+# draw (2**16 entries); a block holds at least one row.  Each thread of the
+# draw works on a few block-sized arrays (see _INFLIGHT_BYTES), and at
+# N = 2000-4000 a sample took 30% less time with 512 KiB blocks than with
+# 1 MiB ones.  Threads share out whole blocks and never split one: a block
+# product P[r0:r1] P^T can differ in the last bit when its rows change, so
+# the boundaries fix the edges.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -60,6 +65,12 @@ def _usable_cpus() -> int:
 # threads that work on the row blocks of one call: the caller's own and
 # _WORKERS - 1 from the pool
 _WORKERS = _usable_cpus()
+# bytes of block-sized arrays that the threads of one call may hold at once.
+# A thread holds about four (its rows and uniform buffers, the key bits and
+# the partition output), so with full 512 KiB blocks a call runs on at most
+# four threads, and its peak stays that of a dense 1024 x 1024 S however many
+# CPUs there are.
+_INFLIGHT_BYTES = 1 << 23
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -69,6 +80,9 @@ def _executor() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
+            # imported here, so a process that never needs the pool skips it
+            from concurrent.futures import ThreadPoolExecutor
+
             _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="samgog-blocks")
         return _pool
 
@@ -96,11 +110,13 @@ def _row_blocks(n: int):
 
 
 def _map_blocks(n: int, part) -> None:
-    """Call ``part(blocks)`` on min(_WORKERS, block count) threads, the
-    caller's among them.  Each call iterates over whole row blocks of n rows,
+    """Call ``part(blocks)`` on up to _WORKERS threads, the caller's among
+    them: no more threads than blocks, nor than hold four blocks each within
+    _INFLIGHT_BYTES.  Each call iterates over whole row blocks of n rows,
     pulled from one shared queue until it is empty, so every block goes to
     exactly one call.  One block runs in the caller's thread alone.  Returns
-    once every call has ended, and raises the first error among them."""
+    once every call that started has ended, and raises the first error among
+    them."""
     todo = collections.deque(_row_blocks(n))
 
     def pull():
@@ -118,17 +134,23 @@ def _map_blocks(n: int, part) -> None:
             todo.clear()  # the other calls stop after their current block
             raise
 
-    parts = min(_WORKERS, len(todo))
+    block_bytes = 8 * n * _block_rows(n)
+    parts = min(_WORKERS, len(todo), _INFLIGHT_BYTES // (4 * block_bytes))
     if parts <= 1:
         run()
         return
+    from concurrent.futures import wait
+
     pool = _executor()
     futures = [pool.submit(run) for _ in range(parts - 1)]
     try:
         run()
     finally:
-        wait(futures)
-    for future in futures:
+        # the queue is empty: a call still waiting for a pool thread (behind
+        # other callers' work) has nothing left to do, and is dropped
+        started = [future for future in futures if not future.cancel()]
+        wait(started)
+    for future in started:
         future.result()
 
 

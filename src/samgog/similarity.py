@@ -9,8 +9,8 @@ that independent draws from their class distributions agree.
 and builds a block of rows of S only when asked, so a sampler can stream
 S in row blocks without ever holding an N x N array.  Its ``S`` property
 builds the dense matrix on demand; ``SimilarityMatrix`` holds a given dense
-S and checks it.  Both give a block of rows through ``rows(r0, r1)``, into
-a caller's buffer when given ``out``.
+S and checks it.  Both give a block of rows through ``rows(r0, r1)``; the
+factor form builds it in a caller's buffer when given ``out``.
 """
 
 from __future__ import annotations
@@ -67,12 +67,9 @@ class SimilarityMatrix:
         return self.S.shape[0]
 
     def rows(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Weights of rows r0..r1-1: a view of S, not to be written to, or
-        ``out`` holding a copy."""
-        if out is None:
-            return self.S[r0:r1]
-        np.copyto(out, self.S[r0:r1])
-        return out
+        """Weights of rows r0..r1-1: a view of S, not to be written to.
+        ``out`` is ignored; only the factor form fills it."""
+        return self.S[r0:r1]
 
 
 @dataclass(frozen=True)

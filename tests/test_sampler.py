@@ -1,6 +1,8 @@
 import hashlib
 import logging
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -241,23 +243,52 @@ def test_factor_form_matches_dense_similarity(data):
     assert np.array_equal(blocked.edges, expected)
 
 
-def test_without_replacement_holds_no_square_array():
-    n = 3000
+def square_array_fixture(n):
     rng = np.random.default_rng(30)
     labels = rng.integers(0, 2, size=n)
     prob = build_prob_matrix(rng.normal(size=(n, 2)), labels, rng.random(n) < 0.2)
     k = rng.integers(1, 11, size=n)
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    return similarity_matrix(prob), alloc
+
+
+def traced_draw(sim, alloc):
+    """The edges of one without-replacement draw and the peak traced bytes
+    of building the sampler and drawing."""
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=3)
-    sim = similarity_matrix(prob)
     tracemalloc.start()
     try:
         gog = sp.GoGSampler(sim, alloc, config).sample(0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(gog.out_degrees(), k)
+    return gog, peak
+
+
+def test_without_replacement_holds_no_square_array():
+    n = 3000
+    sim, alloc = square_array_fixture(n)
+    gog, peak = traced_draw(sim, alloc)
+    assert np.array_equal(gog.out_degrees(), alloc.k)
     assert peak < n * n * 8 / 4  # a quarter of one N x N float64 array
+
+
+def test_many_cpus_keep_the_draw_small():
+    # a fresh pool, so 16 CPUs really run up to 15 pool threads at once
+    n = 3000
+    sim, alloc = square_array_fixture(n)
+    with mock.patch.object(sp, "_WORKERS", 1):
+        serial = sp.GoGSampler(
+            sim, alloc, sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=3)
+        ).sample(0)
+    with mock.patch.object(sp, "_WORKERS", 16), mock.patch.object(sp, "_pool", None):
+        try:
+            gog, peak = traced_draw(sim, alloc)
+        finally:
+            if sp._pool is not None:
+                sp._pool.shutdown()
+    assert np.array_equal(gog.edges, serial.edges)
+    assert peak < n * n * 8 / 4  # the bound of the test above
 
 
 def sparse_similarity(n, seed):
@@ -352,6 +383,36 @@ def test_concurrent_callers_share_one_sampler():
         assert all(np.array_equal(a, b) for a, b in zip(edges, serial))
 
 
+def test_caller_does_not_wait_for_a_busy_pool():
+    # the only pool thread is held by other work, so the caller draws every
+    # block itself and must not then wait for its queued, unstarted part
+    n = 301
+    sim = sparse_similarity(n, seed=44)
+    k = np.full(n, 3)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=5)
+    release = threading.Event()
+    got = []
+    with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", 2), \
+            mock.patch.object(sp, "_pool", None):
+        pool = sp._executor()
+        try:
+            busy = pool.submit(release.wait, 60)
+            caller = threading.Thread(
+                target=lambda: got.append(sp.GoGSampler(sim, alloc, config).sample(0))
+            )
+            caller.start()
+            caller.join(timeout=30)
+            finished = not caller.is_alive()
+        finally:
+            release.set()
+            busy.result()
+            caller.join()
+            pool.shutdown()
+    assert finished
+    assert np.array_equal(got[0].edges, per_row_without_replacement(sim, k, 5, 0))
+
+
 def test_one_block_never_makes_the_pool():
     n = 200
     sim = sparse_similarity(n, seed=43)
@@ -365,6 +426,30 @@ def test_one_block_never_makes_the_pool():
     with no_pool, mock.patch.object(sp, "_WORKERS", 4):
         gog = sp.GoGSampler(sim, alloc, config).sample(0)
     assert np.array_equal(gog.edges, per_row_without_replacement(sim, k, 1, 0))
+
+
+def test_one_block_draw_imports_no_pool_machinery():
+    # peak RSS of runs that never use the pool stays that of a serial draw
+    script = """
+import sys
+import numpy as np
+import samgog.cli
+import samgog.sampler as sp
+from samgog.degree_alloc import DegreeAllocation
+from samgog.similarity import SimilarityMatrix
+s = np.ones((5, 5)) - np.eye(5)
+k = np.full(5, 2)
+sim = SimilarityMatrix(S=s, diagonal_zeroed=True)
+config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT)
+sp.GoGSampler(sim, DegreeAllocation(k=k, total=10), config).sample(0)
+assert "concurrent.futures" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def digest_fixture():
