@@ -158,6 +158,8 @@ def _validate(values: dict) -> None:
         raise ConfigError("epochs: must be >= 0")
     if not 0.0 <= values["split.val_fraction"] <= 1.0:
         raise ConfigError("split.val_fraction: must lie in [0, 1]")
+    if values["eval_samples"] < 0:
+        raise ConfigError("eval_samples: must be >= 0 (0 means samples_per_epoch)")
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:

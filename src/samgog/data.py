@@ -574,6 +574,12 @@ def make_planted_dataset(
     """
     if feature_dim < 2:
         raise DatasetError("planted dataset needs feature_dim >= 2")
+    # min_nodes = 0 is left to InputGraph, which rejects an empty graph by id
+    if not 0 <= min_nodes <= max_nodes:
+        raise DatasetError(
+            "planted dataset needs 0 <= min_nodes <= max_nodes, "
+            f"got min_nodes={min_nodes}, max_nodes={max_nodes}"
+        )
     rng = generator(seed, 0x9D0)
     graphs = []
     for gid in range(num_graphs):

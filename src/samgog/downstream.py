@@ -476,6 +476,8 @@ def train_encoder_baseline(
     """Encoder-only reference: classify straight from the encoder head with
     no graph-of-graphs stage, same selection rule as the full pipeline."""
     split.validate(dataset)
+    if len(split.test_idx) == 0:
+        raise TrainingError("pipeline evaluation requires a non-empty test set")
     observable = labels_with_test_masked(dataset, split)
     train_list = list(split.train_idx)
     val_list = list(split.val_idx)
@@ -509,7 +511,9 @@ def train_encoder_baseline(
             best_params = enc_state.params.copy()
 
     enc_state.params[...] = best_params
-    _, logits = encode_dataset(dataset, encoder_config, enc_state, op=op)
+    with np.errstate(all="ignore"):
+        _, logits = encode_dataset(dataset, encoder_config, enc_state, op=op)
+    _check_finite("final evaluation", logits)
     labels_true = dataset.labels()
     test_list = list(split.test_idx)
     predictions = logits[test_list].argmax(axis=1)

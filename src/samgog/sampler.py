@@ -13,10 +13,11 @@ the factor form), so it never holds an N x N array; each block's keys and
 partition are those of the whole matrix, so blocking leaves the edges as
 they are.  The blocks of one draw, and of the preparation pass that counts
 each row's mass and support, are spread over the usable CPUs, as many as
-a fixed budget for the blocks in flight allows: the caller's thread and a
-shared pool of threads pull whole blocks from one queue, and each block
-writes only its own rows.  The block boundaries stay fixed, because the
-bits of a ``rows`` product depend on them.
+a fixed budget for the blocks in flight allows: the caller's thread and
+threads made for that call alone pull whole blocks from one queue, and each
+block writes only its own rows; the call joins its threads before it
+returns.  The block boundaries stay fixed, because the bits of a ``rows``
+product depend on them.
 
 Per-node randomness is keyed by (seed, stream id, node id) counters, so one
 sample is reproducible bit-for-bit regardless of how rows are scheduled.
@@ -27,18 +28,13 @@ from __future__ import annotations
 import collections
 import logging
 import os
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .degree_alloc import DegreeAllocation
 from .rng import key_uniforms, mix, vector_keys
 from .similarity import DegenerateRowError, Similarity
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +59,7 @@ def _usable_cpus() -> int:
 
 
 # threads that work on the row blocks of one call: the caller's own and
-# _WORKERS - 1 from the pool
+# _WORKERS - 1 made for the call
 _WORKERS = _usable_cpus()
 # bytes of block-sized arrays that the threads of one call may hold at once.
 # A thread holds about four (its rows and uniform buffers, the key bits and
@@ -71,30 +67,6 @@ _WORKERS = _usable_cpus()
 # four threads, and its peak stays that of a dense 1024 x 1024 S however many
 # CPUs there are.
 _INFLIGHT_BYTES = 1 << 23
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The module's pool, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here, so a process that never needs the pool skips it
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="samgog-blocks")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads; it makes its own pool
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _block_rows(n: int) -> int:
@@ -114,9 +86,9 @@ def _map_blocks(n: int, part) -> None:
     them: no more threads than blocks, nor than hold four blocks each within
     _INFLIGHT_BYTES.  Each call iterates over whole row blocks of n rows,
     pulled from one shared queue until it is empty, so every block goes to
-    exactly one call.  One block runs in the caller's thread alone.  Returns
-    once every call that started has ended, and raises the first error among
-    them."""
+    exactly one call.  One block runs in the caller's thread alone.  Joins
+    the threads it made before it returns, and raises the first error among
+    the calls."""
     todo = collections.deque(_row_blocks(n))
 
     def pull():
@@ -139,19 +111,14 @@ def _map_blocks(n: int, part) -> None:
     if parts <= 1:
         run()
         return
-    from concurrent.futures import wait
+    # imported here, so a process that never runs a block on a thread skips it
+    from concurrent.futures import ThreadPoolExecutor
 
-    pool = _executor()
-    futures = [pool.submit(run) for _ in range(parts - 1)]
-    try:
+    with ThreadPoolExecutor(parts - 1, thread_name_prefix="samgog-blocks") as pool:
+        futures = [pool.submit(run) for _ in range(parts - 1)]
         run()
-    finally:
-        # the queue is empty: a call still waiting for a pool thread (behind
-        # other callers' work) has nothing left to do, and is dropped
-        started = [future for future in futures if not future.cancel()]
-        wait(started)
-    for future in started:
-        future.result()
+        for future in futures:
+            future.result()
 
 
 class EmptyGoGError(Exception):

@@ -10,7 +10,7 @@ rendered as JSON or one pass/fail line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,14 +51,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "trials": self.trials,
-            "failures": self.failures,
-            "skipped": self.skipped,
-            "details": self.details,
-        }
+        return asdict(self)
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

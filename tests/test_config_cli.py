@@ -112,6 +112,11 @@ class TestConfigParsing:
         with pytest.raises(config.ConfigError, match="split.val_fraction"):
             config.parse_config_text(text)
 
+    def test_negative_eval_samples_rejected(self):
+        text = GOOD_CONFIG + "\neval_samples = -1\n"
+        with pytest.raises(config.ConfigError, match="eval_samples"):
+            config.parse_config_text(text)
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = config.parse_config_text("# hi\n\n" + GOOD_CONFIG)
         assert cfg.seed == 5
@@ -198,6 +203,13 @@ class TestRunExperiment:
         status = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path)])
         assert status == 1
         assert "alloc.d_bar" in capsys.readouterr().err
+
+    def test_bad_planted_node_range_gives_nonzero_exit(self, tmp_path, capsys):
+        text = GOOD_CONFIG + "dataset.min_nodes = 10\ndataset.max_nodes = 5\n"
+        cfg_path = self.write_config(tmp_path, text)
+        status = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path)])
+        assert status == 1
+        assert "min_nodes=10, max_nodes=5" in capsys.readouterr().err
 
 
 class TestOtherSubcommands:

@@ -110,6 +110,13 @@ class TestInputGraph:
             data.InputGraph(id=7, edges=edges, node_features=np.ones((3, 1)), label=0)
 
 
+@pytest.mark.parametrize("low, high", [(10, 5), (-1, 4)])
+def test_planted_node_range_names_both_fields(low, high):
+    message = rf"0 <= min_nodes <= max_nodes, got min_nodes={low}, max_nodes={high}"
+    with pytest.raises(data.DatasetError, match=message):
+        data.make_planted_dataset(num_graphs=4, min_nodes=low, max_nodes=high)
+
+
 class TestFeatures:
     def test_degree_onehot_path_graph(self):
         ds = data.make_path_graph_dataset([3], labels=[0])

@@ -347,3 +347,30 @@ def test_encoder_baseline_runs_and_scores():
         ds, split, EncoderConfig(hidden_dim=6), epochs=40, seed=19
     )
     assert report.accuracy == 1.0
+
+
+def test_encoder_baseline_rejects_empty_test_set(monkeypatch):
+    ds = data.make_planted_dataset(num_graphs=20, seed=14, noise=0.5)
+    split = data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.5, seed=15)
+    assert split.test_idx == ()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("an epoch ran on a split with no test graphs")
+
+    monkeypatch.setattr(ds_mod, "encoder_loss_and_grad", no_training)
+    with pytest.raises(
+        nn.TrainingError, match="pipeline evaluation requires a non-empty test set"
+    ):
+        ds_mod.train_encoder_baseline(ds, split, EncoderConfig(), epochs=40, seed=16)
+
+
+@pytest.mark.filterwarnings("error")
+def test_encoder_baseline_divergence_names_the_final_evaluation():
+    # without a validation set the last epoch is selected, with its diverged step
+    ds = data.make_planted_dataset(num_graphs=30, seed=17, noise=0.0)
+    split = data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.0, seed=18)
+    with pytest.raises(nn.TrainingError, match="final evaluation"):
+        ds_mod.train_encoder_baseline(
+            ds, split, EncoderConfig(hidden_dim=6), epochs=1, seed=19,
+            learning_rate=1e200,
+        )

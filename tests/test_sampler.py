@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -274,19 +275,14 @@ def test_without_replacement_holds_no_square_array():
 
 
 def test_many_cpus_keep_the_draw_small():
-    # a fresh pool, so 16 CPUs really run up to 15 pool threads at once
     n = 3000
     sim, alloc = square_array_fixture(n)
     with mock.patch.object(sp, "_WORKERS", 1):
         serial = sp.GoGSampler(
             sim, alloc, sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=3)
         ).sample(0)
-    with mock.patch.object(sp, "_WORKERS", 16), mock.patch.object(sp, "_pool", None):
-        try:
-            gog, peak = traced_draw(sim, alloc)
-        finally:
-            if sp._pool is not None:
-                sp._pool.shutdown()
+    with mock.patch.object(sp, "_WORKERS", 16):
+        gog, peak = traced_draw(sim, alloc)
     assert np.array_equal(gog.edges, serial.edges)
     assert peak < n * n * 8 / 4  # the bound of the test above
 
@@ -320,14 +316,16 @@ def test_blocks_give_the_same_draw_on_any_number_of_threads():
 
 class FailingRows:
     """A similarity whose ``rows`` raises on the block starting at ``bad``
-    once ``armed`` is set."""
+    once ``armed`` is set, and records the names of the threads it serves."""
 
     def __init__(self, sim, bad):
         self.sim, self.bad, self.armed = sim, bad, False
         self.num_nodes = sim.num_nodes
         self.diagonal_zeroed = sim.diagonal_zeroed
+        self.threads = set()
 
     def rows(self, r0, r1, out=None):
+        self.threads.add(threading.current_thread().name)
         if self.armed and r0 == self.bad:
             raise RuntimeError(f"rows {r0}:{r1} failed")
         return self.sim.rows(r0, r1, out=out)
@@ -383,34 +381,44 @@ def test_concurrent_callers_share_one_sampler():
         assert all(np.array_equal(a, b) for a, b in zip(edges, serial))
 
 
-def test_caller_does_not_wait_for_a_busy_pool():
-    # the only pool thread is held by other work, so the caller draws every
-    # block itself and must not then wait for its queued, unstarted part
+def test_no_block_thread_outlives_the_draw():
     n = 301
-    sim = sparse_similarity(n, seed=44)
+    sim = FailingRows(sparse_similarity(n, seed=45), bad=0)  # never armed
     k = np.full(n, 3)
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
-    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=5)
-    release = threading.Event()
-    got = []
-    with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", 2), \
-            mock.patch.object(sp, "_pool", None):
-        pool = sp._executor()
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=4)
+    with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", 3):
+        gog = sp.GoGSampler(sim, alloc, config).sample(0)
+    assert any(name.startswith("samgog-blocks") for name in sim.threads)
+    assert not [t for t in threading.enumerate() if t.name.startswith("samgog-blocks")]
+    assert np.array_equal(gog.edges, per_row_without_replacement(sim.sim, k, 4, 0))
+
+
+def test_forked_child_draws_the_parents_edges():
+    n = 301
+    sim = sparse_similarity(n, seed=46)
+    k = np.full(n, 5)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=9)
+    ctx = multiprocessing.get_context("fork")
+    with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", 3):
+        edges = sp.GoGSampler(sim, alloc, config).sample(0).edges
+        recv, send = ctx.Pipe(duplex=False)
+
+        def child():
+            send.send_bytes(sp.GoGSampler(sim, alloc, config).sample(0).edges.tobytes())
+
+        proc = ctx.Process(target=child)
+        proc.start()
         try:
-            busy = pool.submit(release.wait, 60)
-            caller = threading.Thread(
-                target=lambda: got.append(sp.GoGSampler(sim, alloc, config).sample(0))
-            )
-            caller.start()
-            caller.join(timeout=30)
-            finished = not caller.is_alive()
+            got = recv.recv_bytes() if recv.poll(60) else None
         finally:
-            release.set()
-            busy.result()
-            caller.join()
-            pool.shutdown()
-    assert finished
-    assert np.array_equal(got[0].edges, per_row_without_replacement(sim, k, 5, 0))
+            proc.join(timeout=60)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+    assert proc.exitcode == 0
+    assert got == edges.tobytes()
 
 
 def test_one_block_never_makes_the_pool():
@@ -420,8 +428,9 @@ def test_one_block_never_makes_the_pool():
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=1)
     assert len(list(sp._row_blocks(n))) == 1
-    no_pool = mock.patch.object(
-        sp, "_executor", side_effect=AssertionError("pool made for one block")
+    no_pool = mock.patch(
+        "concurrent.futures.ThreadPoolExecutor",
+        side_effect=AssertionError("pool made for one block"),
     )
     with no_pool, mock.patch.object(sp, "_WORKERS", 4):
         gog = sp.GoGSampler(sim, alloc, config).sample(0)
