@@ -63,19 +63,22 @@ class InputGraph:
         n = self.node_features.shape[0]
         if n == 0:
             raise IntegrityError(f"graph {self.id} has no nodes")
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise IntegrityError(
-                    f"graph {self.id}: edge ({u}, {v}) outside [0, {n})"
-                )
-            if (u, v) != (min(u, v), max(u, v)):
-                raise IntegrityError(
-                    f"graph {self.id}: edge ({u}, {v}) not canonicalized"
-                )
-            if (u, v) in seen:
-                raise IntegrityError(f"graph {self.id}: duplicate edge ({u}, {v})")
-            seen.add((u, v))
+        valid = all(0 <= u <= v < n for u, v in self.edges)
+        if not (valid and len(set(self.edges)) == len(self.edges)):
+            # only bad input walks the edges one by one, to name the first bad one
+            seen = set()
+            for u, v in self.edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise IntegrityError(
+                        f"graph {self.id}: edge ({u}, {v}) outside [0, {n})"
+                    )
+                if (u, v) != (min(u, v), max(u, v)):
+                    raise IntegrityError(
+                        f"graph {self.id}: edge ({u}, {v}) not canonicalized"
+                    )
+                if (u, v) in seen:
+                    raise IntegrityError(f"graph {self.id}: duplicate edge ({u}, {v})")
+                seen.add((u, v))
         if self.node_labels is not None and len(self.node_labels) != n:
             raise IntegrityError(f"graph {self.id}: node label count != size")
 
@@ -574,28 +577,35 @@ def make_planted_dataset(
     """
     if feature_dim < 2:
         raise DatasetError("planted dataset needs feature_dim >= 2")
-    # min_nodes = 0 is left to InputGraph, which rejects an empty graph by id
-    if not 0 <= min_nodes <= max_nodes:
+    if not 1 <= min_nodes <= max_nodes:
         raise DatasetError(
-            "planted dataset needs 0 <= min_nodes <= max_nodes, "
+            "planted dataset needs 1 <= min_nodes <= max_nodes, "
             f"got min_nodes={min_nodes}, max_nodes={max_nodes}"
         )
+    if not 0.0 <= edge_prob <= 1.0:  # NaN fails too
+        raise DatasetError(
+            f"planted dataset needs 0 <= edge_prob <= 1, got edge_prob={edge_prob}"
+        )
     rng = generator(seed, 0x9D0)
+    pairs = {}  # n -> np.triu_indices(n, 1)
     graphs = []
     for gid in range(num_graphs):
         label = gid % 2
+        # the size stays a scalar draw: bounded integers buffer per call
         n = int(rng.integers(min_nodes, max_nodes + 1))
-        edges = set()
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < edge_prob:
-                    edges.add((u, v))
+        if n not in pairs:
+            pairs[n] = np.triu_indices(n, 1)
+        # one uniform per pair u < v in row-major order, so the kept pairs
+        # come out sorted
+        u, v = pairs[n]
+        keep = rng.random(u.size) < edge_prob
+        edges = tuple(zip(u[keep].tolist(), v[keep].tolist()))
         feats = noise * rng.standard_normal((n, feature_dim))
         feats[:, label] += signal
         graphs.append(
             InputGraph(
                 id=gid,
-                edges=tuple(sorted(edges)),
+                edges=edges,
                 node_features=feats,
                 label=label,
             )

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,11 +190,11 @@ class TestRunExperiment:
              "--dump-allocation", "--dump-gog"]
         )
         assert status == 0
-        alloc_lines = open(os.path.join(out, "allocation.txt")).read().splitlines()
+        alloc_lines = Path(out, "allocation.txt").read_text().splitlines()
         assert alloc_lines[-1].startswith("total ")
         total = int(alloc_lines[-1].split()[1])
         assert sum(int(ln.split()[1]) for ln in alloc_lines[:-1]) == total
-        gog_header = open(os.path.join(out, "gog_eval0.txt")).readline().split()
+        gog_header = Path(out, "gog_eval0.txt").read_text().splitlines()[0].split()
         assert int(gog_header[0]) == 30  # num_graphs in the fixture
 
     def test_malformed_config_gives_nonzero_exit(self, tmp_path, capsys):
@@ -210,6 +211,12 @@ class TestRunExperiment:
         status = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path)])
         assert status == 1
         assert "min_nodes=10, max_nodes=5" in capsys.readouterr().err
+
+    def test_bad_planted_edge_prob_gives_nonzero_exit(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, GOOD_CONFIG + "dataset.edge_prob = 1.5\n")
+        status = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path)])
+        assert status == 1
+        assert "edge_prob=1.5" in capsys.readouterr().err
 
 
 class TestOtherSubcommands:

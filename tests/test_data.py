@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from samgog import data
+from samgog import rng as rng_mod
 
 
 def write_minimal_dataset(tmp_path, name="MINI"):
@@ -60,7 +62,7 @@ class TestParser:
         with pytest.raises(data.IntegrityError, match="graph 1 has no nodes"):
             data.parse_tudataset(str(tmp_path), "E")
         with pytest.raises(data.IntegrityError, match="graph 0 has no nodes"):
-            data.make_planted_dataset(num_graphs=2, min_nodes=0, max_nodes=0)
+            data.InputGraph(id=0, edges=(), node_features=np.zeros((0, 1)), label=0)
 
     def test_round_trip_reproduces_structure(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -95,6 +97,20 @@ class TestParser:
             assert back.node_labels == orig.node_labels
 
 
+def check_edges_one_by_one(graph_id, edges, n):
+    """The per-edge check InputGraph ran on every input before its one-pass
+    accept, kept as the oracle for the first bad edge and its message."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise data.IntegrityError(f"graph {graph_id}: edge ({u}, {v}) outside [0, {n})")
+        if (u, v) != (min(u, v), max(u, v)):
+            raise data.IntegrityError(f"graph {graph_id}: edge ({u}, {v}) not canonicalized")
+        if (u, v) in seen:
+            raise data.IntegrityError(f"graph {graph_id}: duplicate edge ({u}, {v})")
+        seen.add((u, v))
+
+
 class TestInputGraph:
     @pytest.mark.parametrize(
         "edges, message",
@@ -110,11 +126,101 @@ class TestInputGraph:
             data.InputGraph(id=7, edges=edges, node_features=np.ones((3, 1)), label=0)
 
 
-@pytest.mark.parametrize("low, high", [(10, 5), (-1, 4)])
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.lists(
+            st.tuples(st.integers(-2, 5), st.integers(-2, 5)), max_size=8
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_first_bad_edge_matches_per_edge_check(self, n, edges):
+        # random lists mix out-of-range, reversed, duplicate and self-loop
+        # edges, with the bad one at any position
+        edges = tuple(edges)
+        try:
+            check_edges_one_by_one(7, edges, n)
+        except data.IntegrityError as expected:
+            with pytest.raises(data.IntegrityError) as raised:
+                data.InputGraph(id=7, edges=edges, node_features=np.ones((n, 1)), label=0)
+            assert type(raised.value) is type(expected)
+            assert str(raised.value) == str(expected)
+        else:
+            g = data.InputGraph(id=7, edges=edges, node_features=np.ones((n, 1)), label=0)
+            assert g.edges == edges
+
+
+@pytest.mark.parametrize("low, high", [(10, 5), (-1, 4), (0, 4), (0, 0)])
 def test_planted_node_range_names_both_fields(low, high):
-    message = rf"0 <= min_nodes <= max_nodes, got min_nodes={low}, max_nodes={high}"
+    message = rf"1 <= min_nodes <= max_nodes, got min_nodes={low}, max_nodes={high}"
     with pytest.raises(data.DatasetError, match=message):
         data.make_planted_dataset(num_graphs=4, min_nodes=low, max_nodes=high)
+
+
+@pytest.mark.parametrize("edge_prob", [1.5, -0.1, float("nan"), float("inf")])
+def test_planted_edge_prob_outside_unit_interval_rejected(edge_prob):
+    with pytest.raises(data.DatasetError, match=r"0 <= edge_prob <= 1, got edge_prob="):
+        data.make_planted_dataset(num_graphs=4, edge_prob=edge_prob)
+
+
+def planted_one_pair_at_a_time(
+    num_graphs, seed, feature_dim=4, min_nodes=8, max_nodes=16, signal=1.0,
+    noise=0.0, edge_prob=0.3,
+):
+    """Brute-force oracle: the generator as one rng.random() call per node
+    pair, the loop that make_planted_dataset's vector draw replaced."""
+    rng = rng_mod.generator(seed, 0x9D0)
+    graphs = []
+    for gid in range(num_graphs):
+        label = gid % 2
+        n = int(rng.integers(min_nodes, max_nodes + 1))
+        edges = set()
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < edge_prob:
+                    edges.add((u, v))
+        feats = noise * rng.standard_normal((n, feature_dim))
+        feats[:, label] += signal
+        graphs.append((gid, label, tuple(sorted(edges)), feats))
+    return graphs
+
+
+class TestPlantedDataset:
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize(
+        "min_nodes, max_nodes, edge_prob, noise",
+        [
+            (8, 16, 0.3, 0.0),
+            (1, 2, 0.5, 1.0),
+            (1, 1, 0.3, 0.5),
+            (2, 30, 0.3, 1.55),
+            (3, 9, 0.0, 0.5),
+            (3, 9, 1.0, 0.5),
+            (5, 5, 0.7, 2.0),
+        ],
+    )
+    def test_matches_one_pair_at_a_time(self, seed, min_nodes, max_nodes, edge_prob, noise):
+        kwargs = dict(
+            min_nodes=min_nodes, max_nodes=max_nodes, edge_prob=edge_prob, noise=noise
+        )
+        ds = data.make_planted_dataset(num_graphs=40, seed=seed, **kwargs)
+        oracle = planted_one_pair_at_a_time(40, seed, **kwargs)
+        assert len(ds) == len(oracle)
+        for g, (gid, label, edges, feats) in zip(ds.graphs, oracle):
+            assert (g.id, g.label, g.edges) == (gid, label, edges)
+            assert all(type(u) is int and type(v) is int for u, v in g.edges)
+            assert g.node_features.tobytes() == feats.tobytes()
+
+    def test_scale_dataset_keeps_its_bytes(self):
+        # digest recorded from the one-call-per-pair generator
+        ds = data.make_planted_dataset(num_graphs=2000, seed=7, noise=0.5)
+        h = hashlib.sha256()
+        for g in ds.graphs:
+            h.update(np.array([g.id, g.label, g.size, len(g.edges)], dtype=np.int64).tobytes())
+            h.update(np.array(g.edges, dtype=np.int64).reshape(-1, 2).tobytes())
+            h.update(g.node_features.tobytes())
+        assert h.hexdigest() == (
+            "fec5441ae19797118b148454e3058709c4e0eb6d923a74e37e54a46ce836b5cc"
+        )
 
 
 class TestFeatures:
