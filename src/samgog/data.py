@@ -63,22 +63,20 @@ class InputGraph:
         n = self.node_features.shape[0]
         if n == 0:
             raise IntegrityError(f"graph {self.id} has no nodes")
-        valid = all(0 <= u <= v < n for u, v in self.edges)
-        if not (valid and len(set(self.edges)) == len(self.edges)):
-            # only bad input walks the edges one by one, to name the first bad one
-            seen = set()
-            for u, v in self.edges:
+        seen = set()
+        for edge in self.edges:
+            u, v = edge
+            if not 0 <= u <= v < n:
                 if not (0 <= u < n and 0 <= v < n):
                     raise IntegrityError(
                         f"graph {self.id}: edge ({u}, {v}) outside [0, {n})"
                     )
-                if (u, v) != (min(u, v), max(u, v)):
-                    raise IntegrityError(
-                        f"graph {self.id}: edge ({u}, {v}) not canonicalized"
-                    )
-                if (u, v) in seen:
-                    raise IntegrityError(f"graph {self.id}: duplicate edge ({u}, {v})")
-                seen.add((u, v))
+                raise IntegrityError(
+                    f"graph {self.id}: edge ({u}, {v}) not canonicalized"
+                )
+            if edge in seen:
+                raise IntegrityError(f"graph {self.id}: duplicate edge ({u}, {v})")
+            seen.add(edge)
         if self.node_labels is not None and len(self.node_labels) != n:
             raise IntegrityError(f"graph {self.id}: node label count != size")
 
@@ -338,6 +336,8 @@ def build_features(
     degree-onehot: one column per degree value 0..max_degree, where degrees
     above ``degree_cap`` clamp into the last bucket.
     """
+    if degree_cap < 0:
+        raise FeatureConfigError(f"need degree_cap >= 0, got degree_cap={degree_cap}")
     if scheme == NODE_LABEL_ONEHOT:
         if any(g.node_labels is None for g in dataset.graphs):
             raise FeatureConfigError(
@@ -527,24 +527,32 @@ def read_split(path: str) -> SplitSpec:
         tok.split("=", 1) for tok in lines[0].lstrip("# ").split() if "=" in tok
     )
 
-    def num(key):
-        v = fields.get(key, "none")
+    def ratio(v):
         return None if v == "none" else float(v)
+
+    def header(key, cast, default):
+        v = fields.get(key, default)
+        try:
+            return cast(v)
+        except ValueError as e:
+            raise ParseError(f"{path}:1: expected a number for {key}, got {v!r}") from e
 
     body = lines[1:4]
     if len(body) < 3:
         raise ParseError(f"{path}: expected three index lines")
     lists = []
-    for ln in body:
-        ln = ln.strip()
-        lists.append(tuple(int(t) for t in ln.split(",") if t.strip() != ""))
+    for ln, line in enumerate(body, start=2):
+        try:
+            lists.append(tuple(int(t) for t in line.split(",") if t.strip() != ""))
+        except ValueError as e:
+            raise ParseError(f"{path}:{ln}: expected integers, got {line!r}") from e
     return SplitSpec(
         train_idx=lists[0],
         val_idx=lists[1],
         test_idx=lists[2],
-        rho_class=num("rho_class"),
-        rho_size=num("rho_size"),
-        seed=int(fields.get("seed", 0)),
+        rho_class=header("rho_class", ratio, "none"),
+        rho_size=header("rho_size", ratio, "none"),
+        seed=header("seed", int, "0"),
     )
 
 

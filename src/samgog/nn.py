@@ -295,6 +295,10 @@ class ModelState:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in (SCHEDULE_CONSTANT, SCHEDULE_INVERSE):
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
+            )
         if self.m is None:
             self.m = np.zeros_like(self.params)
         if self.v is None:

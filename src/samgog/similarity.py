@@ -8,9 +8,10 @@ that independent draws from their class distributions agree.
 ``similarity_matrix`` returns the factor form: it keeps the N x C matrix P
 and builds a block of rows of S only when asked, so a sampler can stream
 S in row blocks without ever holding an N x N array.  Its ``S`` property
-builds the dense matrix on demand; ``SimilarityMatrix`` holds a given dense
-S and checks it.  Both give a block of rows through ``rows(r0, r1)``; the
-factor form builds it in a caller's buffer when given ``out``.
+is ``rows(0, N)``, the dense matrix built on demand; ``SimilarityMatrix``
+holds a given dense S and checks it.  Both give a block of rows through
+``rows(r0, r1)``; the factor form builds it in a caller's buffer when given
+``out``.
 """
 
 from __future__ import annotations
@@ -91,12 +92,7 @@ class FactorSimilarity:
     @property
     def S(self) -> np.ndarray:
         """The dense N x N matrix, built anew on every access."""
-        s = self.P @ self.P.T
-        s = np.clip(s, 0.0, 1.0)
-        s = 0.5 * (s + s.T)  # exact symmetry despite float reassociation
-        if self.diagonal_zeroed:
-            np.fill_diagonal(s, 0.0)
-        return s
+        return self.rows(0, self.num_nodes)
 
     def rows(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
         """Weights of rows r0..r1-1, a new (r1 - r0, N) array or ``out``

@@ -218,6 +218,23 @@ class TestRunExperiment:
         assert status == 1
         assert "edge_prob=1.5" in capsys.readouterr().err
 
+    def test_negative_learning_rate_gives_nonzero_exit(self, tmp_path, capsys):
+        text = GOOD_CONFIG + "encoder.lr = -0.05\ndownstream.lr = -0.05\n"
+        cfg_path = self.write_config(tmp_path, text)
+        status = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path)])
+        assert status == 1
+        assert "learning_rate" in capsys.readouterr().err
+
+    def test_malformed_split_file_gives_nonzero_exit(self, tmp_path, capsys):
+        split_path = tmp_path / "split.txt"
+        split_path.write_text("# seed=1\n0,1\nx\n2\n")
+        cfg_path = self.write_config(tmp_path, GOOD_CONFIG + f"split.file = {split_path}\n")
+        status = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "out")])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"{split_path}:3:" in err
+        assert "ValueError" not in err
+
 
 class TestOtherSubcommands:
     def write_config(self, tmp_path):

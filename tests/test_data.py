@@ -263,6 +263,11 @@ class TestFeatures:
         assert built.feature_dim == 4
         assert built.graphs[0].node_features[0, 3] == 1.0  # degree 7 clamped
 
+    def test_negative_degree_cap_rejected(self):
+        ds = data.make_path_graph_dataset([3, 4], labels=[0, 1])
+        with pytest.raises(data.FeatureConfigError, match="degree_cap=-1"):
+            data.build_features(ds, data.DEGREE_ONEHOT, degree_cap=-1)
+
     @given(st.integers(min_value=5, max_value=30), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=25, deadline=None)
     def test_feature_rows_are_exact_onehot(self, n, seed):
@@ -442,6 +447,20 @@ class TestSplits:
         path = tmp_path / "s.txt"
         data.write_split(split, str(path))
         assert data.read_split(str(path)) == split
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("# seed=1\n0,1\n2,x\n3\n", ":3:"),
+            ("# rho_class=abc seed=1\n0,1\n2\n3\n", ":1:"),
+            ("# rho_size=none seed=abc\n0,1\n2\n3\n", ":1:"),
+        ],
+    )
+    def test_malformed_split_file_names_path_and_line(self, tmp_path, text, where):
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        with pytest.raises(data.ParseError, match=f"s.txt{where}"):
+            data.read_split(str(path))
 
 
 def test_labels_with_test_masked():

@@ -179,6 +179,11 @@ class TestOptimizer:
             optimizer=optimizer, learning_rate=lr, schedule=schedule,
         )
 
+    @pytest.mark.parametrize("lr", [0.0, -0.05, float("nan"), float("inf")])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            self.make_state(np.array([1.0]), lr=lr)
+
     def test_zero_grad_leaves_parameters(self):
         state = self.make_state(np.array([1.0, -2.0]), optimizer="adam")
         before = state.params.copy()

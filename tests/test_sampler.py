@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from samgog import sampler as sp
 from samgog.degree_alloc import DegreeAllocation
-from samgog.rng import key_uniforms, mix, vector_keys
+from samgog.rng import generator, key_uniforms, mix, vector_keys
 from samgog.similarity import (
     DegenerateRowError,
     SimilarityMatrix,
@@ -496,6 +496,48 @@ def test_sample_edges_keep_their_bytes(mode, digest):
         edges = sampler.sample(stream).edges
         assert edges.dtype == np.int64
         h.update(edges.tobytes())
+    assert h.hexdigest() == digest
+
+
+def factor_digest_case(case):
+    """Criterion 6's N = 6 fixtures (cases 0-2) or an N = 300, C = 3 case
+    with labeled rows (case 3), as (similarity, allocation, sampler seed)."""
+    if case < 3:
+        rng = generator(0xE06, case)
+        logits = rng.normal(size=(6, 2))
+        labels = rng.integers(0, 2, size=6)
+        labels[0], labels[1] = 0, 1
+        prob = build_prob_matrix(logits, labels, np.zeros(6, dtype=bool))
+        k = rng.integers(1, 5, size=6).astype(np.int64)
+        seed = case
+    else:
+        rng = np.random.default_rng(300)
+        n = 300
+        prob = build_prob_matrix(
+            rng.normal(size=(n, 3)), rng.integers(0, 3, size=n), rng.random(n) < 0.3
+        )
+        k = rng.integers(1, 9, size=n)
+        seed = 7
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    return similarity_matrix(prob), alloc, seed
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        (0, "9f239423f930eb03a80ab5f53bc4764a22983cb129dad94ce812d1477b953602"),
+        (1, "e85d9f205c4a1b24dd8fd6516d2d23955888eabeaa8e43c25ad215de8463209a"),
+        (2, "030823e2278deb09fd14d8b132d11e1f8143792b7afda6517dee9c0c502f20d0"),
+        (3, "692771dda3404e1fa683001cc9ad290ef8092546d54c3eba21d513ddd04a2ac0"),
+    ],
+)
+def test_factor_form_edges_keep_their_bytes(case, digest):
+    sim, alloc, seed = factor_digest_case(case)
+    config = sp.SamplerConfig(mode=sp.WITH_REPLACEMENT, seed=seed)
+    sampler = sp.GoGSampler(sim, alloc, config)
+    h = hashlib.sha256(sim.S.tobytes())
+    for stream in range(5):
+        h.update(sampler.sample(stream).edges.tobytes())
     assert h.hexdigest() == digest
 
 
