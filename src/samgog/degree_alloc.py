@@ -49,7 +49,26 @@ class DegreeAllocation:
     total: int
 
     def __post_init__(self):
-        if int(self.k.sum()) != self.total:
+        k = self.k
+        if not isinstance(k, np.ndarray) or k.ndim != 1:
+            raise InfeasibleAllocationError(
+                f"allocation k must be a 1-D numpy array, got {type(k).__name__} "
+                f"of shape {np.shape(k)}"
+            )
+        if k.dtype.kind not in "iu":
+            # a float k names its first non-whole entry, any other dtype node 0
+            if k.dtype.kind == "f":
+                off = np.flatnonzero(np.floor(k) != k)
+            else:
+                off = np.arange(k.size)
+            node = f"node {off[0]} has k = {k[off[0]]}, " if off.size else ""
+            raise InfeasibleAllocationError(
+                f"allocation k must be integers: {node}dtype {k.dtype}"
+            )
+        if k.size and k.min() < 0:
+            bad = int(np.argmax(k < 0))
+            raise InfeasibleAllocationError(f"node {bad} has negative degree {k[bad]}")
+        if int(k.sum()) != self.total:
             raise InfeasibleAllocationError("allocation total does not match k")
 
     def check_bounds(self, config: AllocConfig) -> None:

@@ -16,14 +16,17 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-_U_GOLDEN = np.uint64(_GOLDEN)
-_U_MIX1 = np.uint64(_MIX1)
-_U_MIX2 = np.uint64(_MIX2)
-_SHIFT30 = np.uint64(30)
-_SHIFT27 = np.uint64(27)
-_SHIFT31 = np.uint64(31)
-_SHIFT11 = np.uint64(11)
-_INV53 = 1.0 / float(1 << 53)
+# 0-d arrays, not numpy scalars: a ufunc converts a scalar operand to an
+# array on every call, which is about half the cost of one in-place op on the
+# few dozen counters of a small draw
+_U_GOLDEN = np.array(_GOLDEN, dtype=np.uint64)
+_U_MIX1 = np.array(_MIX1, dtype=np.uint64)
+_U_MIX2 = np.array(_MIX2, dtype=np.uint64)
+_SHIFT30 = np.array(30, dtype=np.uint64)
+_SHIFT27 = np.array(27, dtype=np.uint64)
+_SHIFT31 = np.array(31, dtype=np.uint64)
+_SHIFT11 = np.array(11, dtype=np.uint64)
+_INV53 = np.array(1.0 / float(1 << 53))
 
 
 def splitmix64(x: int) -> int:
@@ -49,7 +52,8 @@ def mix(*parts: int) -> int:
 def _mix_array(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     # vectorized splitmix64 output function, applied in place to an array of
     # uint64 counters; one scratch array ``t`` of x's shape holds the shifted
-    # terms
+    # terms.  x must be an ndarray, 0-d included: array arithmetic wraps
+    # silently, while numpy scalar arithmetic warns on overflow.
     if t is None:
         t = np.empty_like(x)
     x += _U_GOLDEN
@@ -67,8 +71,8 @@ def _mix_array(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
 def vector_keys(base: int, ids: np.ndarray) -> np.ndarray:
     """Stream keys for many ids at once; matches mix(*parts, id) when ``base``
     is mix(*parts)."""
-    with np.errstate(over="ignore"):
-        return _mix_array(np.uint64(base) ^ ids.astype(np.uint64))
+    bits = np.bitwise_xor(ids, np.uint64(base), dtype=np.uint64, casting="unsafe")
+    return _mix_array(np.asarray(bits))
 
 
 def key_uniforms(
@@ -86,8 +90,7 @@ def key_uniforms(
     block can reuse one buffer; its memory also serves as the mixing scratch.
     """
     bits = np.asarray(np.add(keys, counters, dtype=np.uint64, casting="unsafe"))
-    with np.errstate(over="ignore"):
-        _mix_array(bits, None if out is None else out.view(np.uint64))
+    _mix_array(bits, None if out is None else out.view(np.uint64))
     bits >>= _SHIFT11
     if open_low:
         out = np.add(bits, 1.0, out=out)

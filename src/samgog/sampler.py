@@ -5,8 +5,11 @@ Two modes: with-replacement draws k_i independent neighbors per node from
 the categorical distribution S[i, .] / sum(S[i, .]) and records duplicates
 as edge multiplicity, which makes expected edge counts exactly
 k_i * S[i, j] / sum_m S[i, m], from row CDFs built once per sampler out of
-the dense S; without-replacement draws k_i distinct neighbors by perturbed
-keys (log(u) / w order statistics, Efraimidis & Spirakis 2006), taking every
+the dense S.  Each draw's constants (its node's key id, its counter, its
+row's CDF offset and last positive column) are prepared once with the CDFs,
+so a sample keys, searches and counts only its sum(k) draws.
+Without-replacement draws k_i distinct neighbors by perturbed keys
+(log(u) / w order statistics, Efraimidis & Spirakis 2006), taking every
 row's top k_i in a row-wise partition of the key matrix.  That mode streams
 the similarity in row blocks of about ``_BLOCK_BYTES`` (``rows(r0, r1)`` of
 the factor form), so it never holds an N x N array; each block's keys and
@@ -147,10 +150,32 @@ class GoGGraph:
 
     def __post_init__(self):
         e = self.edges
-        if e.size and np.any(e[:, 0] == e[:, 1]):
-            raise ValueError("GoG contains a self-edge")
-        if e.size and np.any(e[:, 2] < 1):
+        if not (
+            isinstance(e, np.ndarray) and e.ndim == 2 and e.shape[1] == 3
+            and e.dtype.kind in "iu"
+        ):
+            raise ValueError(
+                f"GoG edges must be an (E, 3) integer array, got {type(e).__name__} "
+                f"of shape {np.shape(e)} and dtype {np.asarray(e).dtype}"
+            )
+        if not e.size:
+            return
+        # one reduction per column: an unsigned view maps a negative endpoint
+        # past n, so one max bounds an endpoint column on both sides
+        src, dst, mult = e[:, 0], e[:, 1], e[:, 2]
+        unsigned = np.dtype(f"u{e.itemsize}")
+        n = self.num_nodes
+        if src.view(unsigned).max() >= n or dst.view(unsigned).max() >= n:
+            outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+            bad = int(np.flatnonzero(outside)[0])
+            raise ValueError(
+                f"GoG edge {bad} {tuple(e[bad].tolist())} has an endpoint "
+                f"outside [0, {n})"
+            )
+        if mult.min() < 1:
             raise ValueError("edge multiplicities must be >= 1")
+        if np.count_nonzero(src == dst):
+            raise ValueError("GoG contains a self-edge")
 
     def out_degrees(self) -> np.ndarray:
         """Multiplicity-weighted out-degree per node."""
@@ -192,18 +217,18 @@ class GoGSampler:
                     support[r0:r1] = (w > 0.0).sum(axis=1)
 
             _map_blocks(n, prepare)
-        if np.any(row_sums <= 0.0):
+        if (row_sums <= 0.0).any():
             bad = int(np.nonzero(row_sums <= 0.0)[0][0])
             raise DegenerateRowError(
                 f"node {bad} has no positive off-diagonal similarity"
             )
         self.config = config
         self.num_nodes = n
-        self._node_ids = np.arange(n, dtype=np.uint64)
         k = allocation.k.astype(np.int64)
 
         if config.mode == WITHOUT_REPLACEMENT:
             self.sim = sim
+            self._node_ids = np.arange(n, dtype=np.uint64)
             short = int(np.count_nonzero(k > support))
             if short:
                 logger.warning(
@@ -215,33 +240,49 @@ class GoGSampler:
             return
 
         # flattened per-row CDFs shifted by the row index, enabling a single
-        # searchsorted call across all nodes; overflow from float roundoff is
-        # clipped back to the last positive-mass column of the row
+        # searchsorted call across all nodes.  Per draw, prepared here once:
+        # its node's key id, its counter within the node, the row offset that
+        # shifts its uniform onto that row's CDF, and the flat index of the
+        # row's last positive-mass column, which clips overflow from float
+        # roundoff back into the row.
         cdf = np.cumsum(s, axis=1) / row_sums[:, None]
         self._flat_cdf = (cdf + np.arange(n)[:, None]).ravel()
-        self._last_positive = n - 1 - np.argmax(s[:, ::-1] > 0.0, axis=1)
-        self._draw_node = np.repeat(np.arange(n), k)
+        last_positive = n - 1 - np.argmax(s[:, ::-1] > 0.0, axis=1)
+        draw_node = np.repeat(np.arange(n), k)
         first_draw = np.cumsum(k) - k
+        self._draw_ids = draw_node.astype(np.uint64)
         self._draw_counter = (
-            np.arange(self._draw_node.size) - first_draw[self._draw_node]
+            np.arange(draw_node.size) - first_draw[draw_node]
         ).astype(np.uint64)
+        self._draw_offset = draw_node.astype(np.float64)
+        self._draw_last = draw_node * n + last_positive[draw_node]
 
     def sample(self, stream_id: int) -> GoGGraph:
         base = mix(self.config.seed, stream_id, 0x5A11)
-        keys = vector_keys(base, self._node_ids)
         n = self.num_nodes
         if self.config.mode == WITH_REPLACEMENT:
-            u = key_uniforms(keys[self._draw_node], self._draw_counter)
-            pos = np.searchsorted(self._flat_cdf, self._draw_node + u, side="right")
-            dst = np.minimum(pos - self._draw_node * n, self._last_positive[self._draw_node])
-            pair = self._draw_node * n + dst
-            uniq, counts = np.unique(pair, return_counts=True)
-            edges = np.column_stack((uniq // n, uniq % n, counts)).astype(np.int64)
+            u = key_uniforms(vector_keys(base, self._draw_ids), self._draw_counter)
+            u += self._draw_offset
+            # flat index node * n + dst of each draw's column
+            pair = self._flat_cdf.searchsorted(u, side="right")
+            np.minimum(pair, self._draw_last, out=pair)
+            pair.sort()
+            # runs of equal pairs are the edges, their lengths the
+            # multiplicities; head[i] marks the start of a run or the end, so
+            # a draw of no pairs gives head = [True] and no edges
+            head = np.empty(pair.size + 1, dtype=bool)
+            head[0] = head[-1] = True
+            np.not_equal(pair[1:], pair[:-1], out=head[1:-1])
+            bounds = head.nonzero()[0]
+            edges = np.empty((bounds.size - 1, 3), dtype=np.int64)
+            np.divmod(pair[bounds[:-1]], n, out=(edges[:, 0], edges[:, 1]))
+            np.subtract(bounds[1:], bounds[:-1], out=edges[:, 2])
         else:
             # the kmax largest keys of every row, ordered by key; row i keeps
             # the last k_effective[i] of them, i.e. its own top-k.  kmax is
             # the same in every block, so a row's partition, and with it the
             # choice among tied keys, does not depend on its block.
+            keys = vector_keys(base, self._node_ids)
             ke = self.k_effective
             kmax = max(int(ke.max()), 1)
             top = np.empty((n, kmax), dtype=np.int64)
@@ -281,12 +322,18 @@ class GoGSampler:
 
 def edge_homophily(gog: GoGGraph, true_labels: np.ndarray) -> float:
     """Multiplicity-weighted fraction of edges joining same-label nodes."""
-    if gog.edges.size == 0:
-        raise EmptyGoGError("edge homophily undefined on an empty GoG")
     labels = np.asarray(true_labels)
-    same = labels[gog.edges[:, 0]] == labels[gog.edges[:, 1]]
-    mult = gog.edges[:, 2]
-    return float(mult[same].sum() / mult.sum())
+    if len(labels) != gog.num_nodes:
+        raise ValueError(
+            f"edge homophily needs one label per GoG node: got {len(labels)} "
+            f"labels for {gog.num_nodes} nodes"
+        )
+    e = gog.edges
+    if not e.size:
+        raise EmptyGoGError("edge homophily undefined on an empty GoG")
+    mult = e[:, 2]
+    same = labels[e[:, 0]] == labels[e[:, 1]]
+    return float(mult.dot(same) / mult.sum())
 
 
 def empirical_inclusion_matrix(

@@ -354,6 +354,22 @@ class TestOracleAllocator:
         )
 
 
+@pytest.mark.parametrize(
+    "k, match",
+    [
+        (np.array([2, -1, 3, -4]), "node 1 has negative degree -1"),
+        (np.array([2.0, 1.5, 0.5]), "must be integers: node 1 has k = 1.5"),
+        (np.array([2.0, 1.0]), "must be integers: dtype float64"),
+        (np.array([True, False]), "must be integers: node 0"),
+        (np.array([[1, 2], [3, 4]]), r"1-D numpy array, got ndarray of shape \(2, 2\)"),
+        ([1, 2], "1-D numpy array, got list"),
+    ],
+)
+def test_allocation_rejects_bad_k_by_name(k, match):
+    with pytest.raises(da.InfeasibleAllocationError, match=match):
+        da.DegreeAllocation(k=k, total=3)
+
+
 def test_dump_allocation(tmp_path):
     alloc = da.DegreeAllocation(k=np.array([2, 3, 4]), total=9)
     path = tmp_path / "alloc.txt"

@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from samgog import rng
@@ -39,6 +42,28 @@ def test_key_uniforms_broadcast_matches_per_key():
     for i in range(4):
         row = rng.key_uniforms(keys[i], np.arange(6, dtype=np.uint64))
         assert np.array_equal(grid[i], row)
+
+
+@pytest.mark.parametrize(
+    "as_input",
+    [np.uint64, np.int64, lambda v: np.array(v, dtype=np.uint64)],
+    ids=["uint64-scalar", "int64-scalar", "0-d"],
+)
+def test_scalar_and_0d_inputs_match_mix_without_warnings(as_input):
+    # every splitmix64 multiply overflows, and numpy scalar arithmetic would
+    # warn on it; the key is at least 3 * 2**62, so key + counter wraps too
+    parts = next((42, s) for s in range(100) if rng.mix(42, s, 5) >= 3 * 2**62)
+    key_int = rng.mix(*parts, 5)
+    counter = 2**62
+    bits = rng.splitmix64((key_int + counter) % 2**64) >> 11
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        key = rng.vector_keys(rng.mix(*parts), as_input(5))
+        u = rng.key_uniforms(key, as_input(counter))
+        u_open = rng.key_uniforms(np.uint64(key_int), as_input(counter), open_low=True)
+    assert int(key) == key_int
+    assert float(u) == bits / 2**53
+    assert float(u_open) == (bits + 1) / 2**53
 
 
 @given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=0, max_value=2**63))

@@ -244,6 +244,99 @@ def test_factor_form_matches_dense_similarity(data):
     assert np.array_equal(blocked.edges, expected)
 
 
+def unique_with_replacement(sim, k, seed, stream_id, uniforms=key_uniforms):
+    """Reference with-replacement draw: every node keyed, each draw's column
+    found and clipped from its row index, duplicates counted by np.unique.
+    Returns the edges and the stream key."""
+    s = sim.S
+    n = len(s)
+    cdf = np.cumsum(s, axis=1) / s.sum(axis=1)[:, None]
+    flat_cdf = (cdf + np.arange(n)[:, None]).ravel()
+    last_positive = n - 1 - np.argmax(s[:, ::-1] > 0.0, axis=1)
+    draw_node = np.repeat(np.arange(n), k)
+    first_draw = np.cumsum(k) - k
+    counter = (np.arange(draw_node.size) - first_draw[draw_node]).astype(np.uint64)
+    base = mix(seed, stream_id, 0x5A11)
+    keys = vector_keys(base, np.arange(n, dtype=np.uint64))
+    u = uniforms(keys[draw_node], counter)
+    pos = np.searchsorted(flat_cdf, draw_node + u, side="right")
+    dst = np.minimum(pos - draw_node * n, last_positive[draw_node])
+    uniq, counts = np.unique(draw_node * n + dst, return_counts=True)
+    return np.column_stack((uniq // n, uniq % n, counts)).astype(np.int64), base
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_with_replacement_matches_unique_oracle(data):
+    n = data.draw(st.integers(min_value=2, max_value=20))
+    if data.draw(st.booleans(), label="factor form"):
+        # one-hot labeled rows give exact zeros, so a labeled row whose class
+        # no other labeled row shares has node 0 as its only candidate
+        c = data.draw(st.integers(min_value=2, max_value=3))
+        logits = data.draw(arrays(np.float64, (n, c), elements=st.floats(-40.0, 40.0)))
+        labels = data.draw(arrays(np.int64, n, elements=st.integers(0, c - 1)))
+        labeled = data.draw(arrays(np.bool_, n))
+        labeled[0] = False  # an unlabeled row gives every row positive mass
+        sim = similarity_matrix(build_prob_matrix(logits, labels, labeled))
+    else:
+        weight = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0))
+        s = np.triu(data.draw(arrays(np.float64, (n, n), elements=weight)), 1)
+        s = s + s.T
+        # rows left with a single positive weight, to node 0
+        single = data.draw(arrays(np.bool_, n))
+        for i in np.nonzero(single[1:])[0] + 1:
+            s[i, :] = s[:, i] = 0.0
+            s[i, 0] = s[0, i] = 0.5
+        for i in range(n):  # every row needs mass
+            if s[i].sum() == 0.0:
+                j = 1 if i == 0 else 0
+                s[i, j] = s[j, i] = 0.5
+        sim = sim_from(s)
+    assert np.all(sim.S.sum(axis=1) > 0.0)
+    k = data.draw(arrays(np.int64, n, elements=st.integers(min_value=0, max_value=6)))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    stream = data.draw(st.integers(min_value=0, max_value=2**20))
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITH_REPLACEMENT, seed=seed)
+    expected, base = unique_with_replacement(sim, k, seed, stream)
+    gog = sp.GoGSampler(sim, alloc, config).sample(stream)
+    assert gog.edges.dtype == np.int64
+    assert gog.edges.tobytes() == expected.tobytes()
+    assert gog.stream_key == base
+
+
+def test_top_uniform_is_clipped_to_the_last_positive_column():
+    # u = 1 - 2**-53 rounds row + u up to the next row's start, so every draw
+    # overshoots its row and only the clip keeps it there
+    def top(keys, counters):
+        return np.full(np.broadcast(keys, counters).shape, 1.0 - 2.0**-53)
+
+    sim = random_similarity(12, seed=14)
+    s = sim.S.copy()
+    s[:, 9:] = s[9:, :] = 0.0  # trailing zero columns in the first nine rows
+    s[9:, 0] = s[0, 9:] = 0.2
+    sim = sim_from(s)
+    k = np.arange(12) % 4
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITH_REPLACEMENT, seed=6)
+    expected, _ = unique_with_replacement(sim, k, 6, 1, uniforms=top)
+    with mock.patch.object(sp, "key_uniforms", top):
+        gog = sp.GoGSampler(sim, alloc, config).sample(1)
+    assert gog.edges.tobytes() == expected.tobytes()
+    last = 11 - np.argmax(s[:, ::-1] > 0.0, axis=1)
+    rows = np.nonzero(k)[0]
+    assert gog.edges.tolist() == np.column_stack((rows, last[rows], k[rows])).tolist()
+
+
+@pytest.mark.parametrize("mode", [sp.WITH_REPLACEMENT, sp.WITHOUT_REPLACEMENT])
+def test_all_zero_allocation_gives_no_edges(mode):
+    sim = random_similarity(5, seed=13)
+    alloc = DegreeAllocation(k=np.zeros(5, dtype=np.int64), total=0)
+    gog = sp.GoGSampler(sim, alloc, sp.SamplerConfig(mode=mode, seed=2)).sample(0)
+    assert gog.edges.shape == (0, 3)
+    assert gog.edges.dtype == np.int64
+
+
 def square_array_fixture(n):
     rng = np.random.default_rng(30)
     labels = rng.integers(0, 2, size=n)
@@ -573,6 +666,15 @@ class TestEdgeHomophily:
         labels = np.array([0, 0, 1])
         assert sp.edge_homophily(gog, labels) == 0.75
 
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 0, 1]])
+    def test_label_count_must_match_nodes(self, labels):
+        gog = sp.GoGGraph(
+            edges=np.array([[0, 1, 1], [2, 0, 1]]), num_nodes=3,
+            mode=sp.WITH_REPLACEMENT,
+        )
+        with pytest.raises(ValueError, match=f"got {len(labels)} labels for 3 nodes"):
+            sp.edge_homophily(gog, np.array(labels))
+
     def test_empty_edge_set_rejected(self):
         gog = sp.GoGGraph(
             edges=np.zeros((0, 3), dtype=np.int64), num_nodes=2,
@@ -642,3 +744,26 @@ def test_gog_rejects_self_edges():
         sp.GoGGraph(
             edges=np.array([[1, 1, 1]]), num_nodes=2, mode=sp.WITH_REPLACEMENT
         )
+
+
+@pytest.mark.parametrize(
+    "edges, match",
+    [
+        (np.array([[0, 5, 1]]), r"edge 0 \(0, 5, 1\) has an endpoint outside \[0, 2\)"),
+        (np.array([[0, 1, 1], [-1, 0, 1]]), r"edge 1 \(-1, 0, 1\) has an endpoint"),
+        (np.array([[0, 1, 0]]), "multiplicities"),
+        (np.array([[0.0, 1.0, 1.0]]), r"\(E, 3\) integer array, got ndarray .* float64"),
+        (np.array([0, 1, 1]), r"\(E, 3\) integer array, got ndarray of shape \(3,\)"),
+        (np.zeros((1, 2), dtype=np.int64), r"shape \(1, 2\)"),
+        ([[0, 1, 1]], r"\(E, 3\) integer array, got list"),
+    ],
+)
+def test_gog_rejects_malformed_edges_by_name(edges, match):
+    with pytest.raises(ValueError, match=match):
+        sp.GoGGraph(edges=edges, num_nodes=2, mode=sp.WITH_REPLACEMENT)
+
+
+def test_gog_accepts_empty_and_unsigned_edges():
+    for edges in (np.zeros((0, 3), dtype=np.int64), np.array([[0, 1, 2]], dtype=np.uint32)):
+        gog = sp.GoGGraph(edges=edges, num_nodes=2, mode=sp.WITH_REPLACEMENT)
+        assert gog.edges is edges
