@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from samgog import data, nn
 from samgog import downstream as ds_mod
 from samgog.degree_alloc import AllocConfig, allocate_degrees
 from samgog.encoder import EncoderConfig, encode_dataset
+from samgog.rng import generator
 from samgog.sampler import GoGGraph, GoGSampler, SamplerConfig, WITHOUT_REPLACEMENT
 from samgog.similarity import build_prob_matrix, similarity_matrix
 
@@ -16,6 +20,22 @@ def make_gog(edge_rows, n):
         else np.zeros((0, 3), dtype=np.int64)
     )
     return GoGGraph(edges=edges, num_nodes=n, mode=WITHOUT_REPLACEMENT)
+
+
+def central_differences(loss_at, params, step=1e-5):
+    numeric = np.zeros_like(params)
+    for i in range(params.size):
+        up = params.copy()
+        up[i] += step
+        down = params.copy()
+        down[i] -= step
+        numeric[i] = (loss_at(up) - loss_at(down)) / (2 * step)
+    return numeric
+
+
+def max_relative_error(a, b):
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+    return float((np.abs(a - b) / denom).max())
 
 
 class TestDownstreamForward:
@@ -103,16 +123,34 @@ class TestDownstreamForward:
             )
             return loss
 
-        step = 1e-5
-        numeric = np.zeros_like(grad)
-        for i in range(state.params.size):
-            up = state.params.copy()
-            up[i] += step
-            down = state.params.copy()
-            down[i] -= step
-            numeric[i] = (loss_at(up) - loss_at(down)) / (2 * step)
-        denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-8)
-        assert (np.abs(grad - numeric) / denom).max() < 1e-4
+        assert max_relative_error(grad, central_differences(loss_at, state.params)) < 1e-4
+
+    def test_dropout_gradient_matches_central_differences(self):
+        config = ds_mod.GoGClassifierConfig(num_layers=3, hidden_dim=5, dropout=0.3)
+        state = ds_mod.init_downstream_state(4, 2, config, seed=5)
+        state.params += 0.05 * np.random.default_rng(7).normal(
+            size=state.params.shape
+        )
+        assert state.params.size <= 200
+        h = np.random.default_rng(3).normal(size=(6, 4))
+        prop = ds_mod.gog_propagation_matrix(make_gog(
+            [[0, 1, 1], [1, 2, 2], [2, 3, 1], [3, 4, 1], [4, 5, 2], [5, 0, 1]], 6
+        ))
+        labels = np.array([0, 1, 0, 1, 0, 1])
+        labeled = np.array([0, 1, 2, 3])
+
+        def loss_and_grad(flat):
+            # a fresh stream per evaluation draws the same dropout masks
+            probe = nn.ModelState(spec=state.spec, params=flat.copy(),
+                                  rng=generator(8))
+            loss, grad, _ = ds_mod.downstream_loss_and_grad(
+                prop, h, probe, config, labels, labeled, train=True
+            )
+            return loss, grad
+
+        _, grad = loss_and_grad(state.params)
+        numeric = central_differences(lambda f: loss_and_grad(f)[0], state.params)
+        assert max_relative_error(grad, numeric) < 1e-4
 
 
 class TestComputeMetrics:
@@ -374,3 +412,41 @@ def test_encoder_baseline_divergence_names_the_final_evaluation():
             ds, split, EncoderConfig(hidden_dim=6), epochs=1, seed=19,
             learning_rate=1e200,
         )
+
+
+def training_digest(arch, readout, dropout):
+    """SHA-256 of a short pipeline run's final encoder and downstream
+    parameters and of every curve point."""
+    ds = data.make_planted_dataset(num_graphs=60, seed=7, noise=1.55)
+    split = data.make_class_imbalanced_split(ds, 9.0, 0.5, 0.25, seed=202)
+    res = ds_mod.train_full_pipeline(
+        ds, split,
+        AllocConfig(d_bar=8, k_min=3, k_max=100),
+        EncoderConfig(arch=arch, readout=readout, hidden_dim=8, dropout=dropout),
+        SamplerConfig(seed=7, samples_per_epoch=2),
+        ds_mod.GoGClassifierConfig(num_layers=3, hidden_dim=8, dropout=dropout),
+        epochs=4, seed=303, eval_samples=2,
+    )
+    h = hashlib.sha256(res.encoder.params.tobytes())
+    h.update(res.downstream.params.tobytes())
+    h.update(np.array([dataclasses.astuple(p) for p in res.curve]).tobytes())
+    return h.hexdigest()
+
+
+# recorded before the encoder and the downstream GCN shared one dense-map
+# backward; the same with one BLAS thread or the default
+TRAINING_DIGESTS = {
+    ("gcn", "mean", 0.0): "9a52c67b629f8830863dc7816355fa40fdee5ad982facf08fc0cc0a313bdbd35",
+    ("gcn", "mean", 0.3): "0bf574b3ace77b3bac968787b2946de4004165d13dcdc2d01bb7d49b1d74e880",
+    ("gcn", "sum", 0.0): "da19d3b179b26a1e6d2a65d36b22eb1f16a0fe3cd2ad39e0dbc44944484d7727",
+    ("gcn", "sum", 0.3): "045245d71ab77772f7c27bd265db5151359a638b5c87ed26440f457957576b88",
+    ("gin", "mean", 0.0): "0b5f1dd8bfa11ece754e4f7f5afdb015a6693b092f03be946a7cf0505a819c07",
+    ("gin", "mean", 0.3): "18ec9b18ff8ce1517c3134fd472286394ff3519fcef16ee5f3d281b72bd71c94",
+    ("gin", "sum", 0.0): "6cc743751de34327df4ab7363e50d3f4d2e0784587a243bf4e3e5ab4d18ac9de",
+    ("gin", "sum", 0.3): "61cfe7706e5e0d9a289351b62fe6ab35ad8a29f0850e898444426cb8b3d1b3c2",
+}
+
+
+@pytest.mark.parametrize("arch, readout, dropout", sorted(TRAINING_DIGESTS))
+def test_training_keeps_its_bytes(arch, readout, dropout):
+    assert training_digest(arch, readout, dropout) == TRAINING_DIGESTS[arch, readout, dropout]

@@ -6,11 +6,23 @@ import pytest
 
 from samgog import data, nn
 from samgog import encoder as enc
+from samgog.rng import generator
 
 
 def relative_error(a, b):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return np.abs(a - b) / denom
+
+
+def central_differences(loss_at, params, step=1e-5):
+    numeric = np.zeros_like(params)
+    for i in range(params.size):
+        up = params.copy()
+        up[i] += step
+        down = params.copy()
+        down[i] -= step
+        numeric[i] = (loss_at(up) - loss_at(down)) / (2 * step)
+    return numeric
 
 
 def dense_normalized_oracle(n, edges):
@@ -265,17 +277,34 @@ class TestGradients:
             )
             return loss
 
-        step = 1e-5
-        numeric = np.zeros_like(grad)
-        base = state.params
-        for i in range(base.size):
-            up = base.copy()
-            up[i] += step
-            down = base.copy()
-            down[i] -= step
-            numeric[i] = (loss_at(up) - loss_at(down)) / (2 * step)
-        err = relative_error(grad, numeric)
+        err = relative_error(grad, central_differences(loss_at, state.params))
         assert err.max() < 1e-4
+
+    @pytest.mark.parametrize("arch", [enc.ARCH_GCN, enc.ARCH_GIN])
+    @pytest.mark.parametrize("readout", [enc.READOUT_MEAN, enc.READOUT_SUM])
+    def test_dropout_gradient_matches_central_differences(self, arch, readout):
+        ds = tiny_dataset(num_graphs=3, feature_dim=3, seed=14)
+        config = enc.EncoderConfig(arch=arch, num_layers=2, hidden_dim=4,
+                                   readout=readout, dropout=0.3)
+        state = enc.init_encoder_state(ds, config, seed=15)
+        state.params += 0.05 * np.random.default_rng(42).normal(
+            size=state.params.shape
+        )
+        labels = ds.labels()
+        labeled = np.arange(len(ds))
+
+        def loss_and_grad(flat):
+            # a fresh stream per evaluation draws the same dropout masks
+            probe = nn.ModelState(spec=state.spec, params=flat.copy(),
+                                  rng=generator(16))
+            loss, grad, _, _ = enc.supervised_loss_and_grad(
+                ds, config, probe, labels, labeled, train=True
+            )
+            return loss, grad
+
+        _, grad = loss_and_grad(state.params)
+        numeric = central_differences(lambda f: loss_and_grad(f)[0], state.params)
+        assert relative_error(grad, numeric).max() < 1e-4
 
     def test_gradient_zero_when_confident(self):
         ds = tiny_dataset(num_graphs=2, seed=16)
