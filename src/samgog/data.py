@@ -440,8 +440,10 @@ def make_class_imbalanced_split(
     """
     if dataset.num_classes != 2:
         raise SplitError("class-imbalanced split generation requires 2 classes")
-    if rho_class < 1:
-        raise SplitError(f"rho_class must be >= 1, got {rho_class}")
+    if not 1 <= rho_class < math.inf:
+        raise SplitError(f"rho_class must be finite and >= 1, got {rho_class}")
+    if not math.isfinite(train_fraction):
+        raise SplitError(f"train_fraction must be finite, got {train_fraction}")
     if not 0.0 <= val_fraction <= 1.0:
         raise SplitError(f"val_fraction must lie in [0, 1], got {val_fraction}")
     labels = dataset.labels()

@@ -10,6 +10,7 @@ rounding, ties broken by ascending index, so totals are conserved exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,7 +40,12 @@ class AllocConfig:
                 f"need k_min <= d_bar <= k_max, got "
                 f"({self.k_min}, {self.d_bar}, {self.k_max})"
             )
-        if self.k_min < 0 or self.rho1 < 1.0 or self.rho2 < 1.0 or self.window_r < 0:
+        for name, rho in (("rho1", self.rho1), ("rho2", self.rho2)):
+            if not 1.0 <= rho < math.inf:
+                raise InfeasibleAllocationError(
+                    f"{name} must be finite and >= 1, got {rho}"
+                )
+        if self.k_min < 0 or self.window_r < 0:
             raise InfeasibleAllocationError("invalid allocation parameters")
 
 

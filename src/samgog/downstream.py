@@ -30,11 +30,11 @@ from .nn import (
     SymmetricOperator,
     TrainingError,
     cross_entropy_and_dlogits,
-    dropout_mask,
     init_model_state,
     optimizer_step,
-    propagate_backward_inplace,
-    propagate_forward,
+    table_backward,
+    table_forward,
+    table_param_spec,
 )
 from .sampler import GoGGraph, GoGSampler, SamplerConfig, edge_homophily
 from .similarity import build_prob_matrix, similarity_matrix
@@ -91,17 +91,21 @@ class PipelineResult:
 # ---------------------------------------------------------------------------
 
 
+def _layer_table(config: GoGClassifierConfig, num_classes: int) -> list[tuple]:
+    """The GCN's ``nn`` layer table: every layer propagates, and all but the
+    last, which gives the logits, apply ReLU and dropout."""
+    rows = []
+    for layer in range(1, config.num_layers + 1):
+        hidden = layer < config.num_layers
+        width = config.hidden_dim if hidden else num_classes
+        rows.append((f"gog{layer}.W", f"gog{layer}.b", hidden, width, True, hidden))
+    return rows
+
+
 def downstream_param_spec(
     config: GoGClassifierConfig, in_dim: int, num_classes: int
 ) -> ParamSpec:
-    entries = []
-    d_in = in_dim
-    for layer in range(1, config.num_layers + 1):
-        d_out = num_classes if layer == config.num_layers else config.hidden_dim
-        entries.append((f"gog{layer}.W", (d_in, d_out)))
-        entries.append((f"gog{layer}.b", (d_out,)))
-        d_in = d_out
-    return ParamSpec(tuple(entries))
+    return table_param_spec(_layer_table(config, num_classes), in_dim)
 
 
 def init_downstream_state(
@@ -127,23 +131,16 @@ def gog_propagation_matrix(gog: GoGGraph) -> SymmetricOperator:
     return SymmetricOperator(gog.num_nodes, e[:, 0], e[:, 1], e[:, 2], normalize=True)
 
 
-def _downstream_forward(prop, h, views, config, rng, train):
+def _downstream_forward(prop, h, state, config, train):
+    """Returns (logits, layer table, caches)."""
     p = config.dropout if train else 0.0
+    views = state.views()
+    table = _layer_table(config, views[f"gog{config.num_layers}.b"].size)
     # center the pooled embeddings: ReLU stacks over all-nonnegative inputs
     # are prone to dead-unit collapse
     x = h - h.mean(axis=0)
-    caches = []
-    for layer in range(1, config.num_layers + 1):
-        w = views[f"gog{layer}.W"]
-        b = views[f"gog{layer}.b"]
-        last = layer == config.num_layers
-        x, cache = propagate_forward(prop, x, w, activation=not last, bias=b)
-        mask = None
-        if p > 0.0 and not last:
-            mask = dropout_mask(rng, x.shape, p)
-            x = x * mask
-        caches.append((cache, mask))
-    return x, caches
+    logits, caches = table_forward(table, x, views, prop, p, state.rng)
+    return logits, table, caches
 
 
 def downstream_forward(
@@ -155,7 +152,7 @@ def downstream_forward(
 ) -> np.ndarray:
     """Logits per GoG node for a propagation matrix from
     ``gog_propagation_matrix``."""
-    logits, _ = _downstream_forward(prop, h, state.views(), config, state.rng, train)
+    logits, _, _ = _downstream_forward(prop, h, state, config, train)
     return logits
 
 
@@ -169,21 +166,12 @@ def downstream_loss_and_grad(
     train: bool = True,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy on labeled GoG nodes and its parameter gradient."""
-    views = state.views()
-    logits, caches = _downstream_forward(prop, h, views, config, state.rng, train)
+    logits, table, caches = _downstream_forward(prop, h, state, config, train)
     loss, dlogits = cross_entropy_and_dlogits(
         logits, np.asarray(labels), np.asarray(labeled_idx)
     )
     grad = np.zeros_like(state.params)
-    grad_views = state.spec.views(grad)
-    dx = dlogits
-    for layer in range(config.num_layers, 0, -1):
-        cache, mask = caches.pop()
-        if mask is not None:
-            dx *= mask
-        dx, dw, db = propagate_backward_inplace(cache, dx, input_grad=layer > 1)
-        grad_views[f"gog{layer}.W"] += dw
-        grad_views[f"gog{layer}.b"] += db
+    table_backward(table, caches, dlogits, prop, state.spec.views(grad), False)
     return loss, grad, logits
 
 

@@ -1,12 +1,14 @@
 """Batched GNN encoder (GCN or GIN) producing graph embeddings and
-classification logits, with hand-derived reverse-mode gradients.
+classification logits.
 
 The architecture is fixed: ``num_layers`` propagation layers, mean or sum
 readout, then a linear+ReLU+linear head to class logits.  GCN layers apply
 ReLU(A_hat X W) with symmetric self-loop normalization; GIN layers apply a
 two-layer MLP to (1 + eps) x + sum of neighbor features.  All graphs share one
 block-diagonal ``SymmetricOperator`` over their stacked nodes, so every layer
-is one pass over the whole dataset.
+is one pass over the whole dataset.  Layers and head are one layer table of
+dense maps (``nn.table_forward``), so the arch decides only the table's rows
+and the operator, and ``nn.dense_backward`` gives every gradient.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ from .nn import (
     ParamSpec,
     SymmetricOperator,
     cross_entropy_and_dlogits,
-    dropout_mask,
+    dense_forward,
     init_model_state,
-    mlp2_backward,
-    mlp2_forward,
     normalize_adjacency,
-    propagate_backward_inplace,
-    propagate_forward,
-    relu,
+    table_backward,
+    table_forward,
+    table_param_spec,
 )
 
 ARCH_GCN = "gcn"
@@ -57,25 +57,27 @@ class EncoderConfig:
             raise ValueError(f"unknown readout {self.readout!r}")
 
 
+def _layer_table(config: EncoderConfig, num_classes: int) -> list[tuple]:
+    """The encoder's ``nn`` layer table: per layer, one GCN map or GIN's
+    two-map MLP, then the two head maps, which follow the readout."""
+    hidden = config.hidden_dim
+    rows = []
+    for layer in range(1, config.num_layers + 1):
+        name = f"layer{layer}"
+        if config.arch == ARCH_GCN:
+            rows.append((f"{name}.W", None, True, hidden, True, True))
+        else:
+            rows.append((f"{name}.W1", f"{name}.b1", True, hidden, True, False))
+            rows.append((f"{name}.W2", f"{name}.b2", False, hidden, False, True))
+    rows.append(("head.W1", "head.b1", True, hidden, False, True))
+    rows.append(("head.W2", "head.b2", False, num_classes, False, False))
+    return rows
+
+
 def encoder_param_spec(
     config: EncoderConfig, feature_dim: int, num_classes: int
 ) -> ParamSpec:
-    entries = []
-    d_in = feature_dim
-    for layer in range(1, config.num_layers + 1):
-        if config.arch == ARCH_GCN:
-            entries.append((f"layer{layer}.W", (d_in, config.hidden_dim)))
-        else:
-            entries.append((f"layer{layer}.W1", (d_in, config.hidden_dim)))
-            entries.append((f"layer{layer}.b1", (config.hidden_dim,)))
-            entries.append((f"layer{layer}.W2", (config.hidden_dim, config.hidden_dim)))
-            entries.append((f"layer{layer}.b2", (config.hidden_dim,)))
-        d_in = config.hidden_dim
-    entries.append(("head.W1", (config.hidden_dim, config.hidden_dim)))
-    entries.append(("head.b1", (config.hidden_dim,)))
-    entries.append(("head.W2", (config.hidden_dim, num_classes)))
-    entries.append(("head.b2", (num_classes,)))
-    return ParamSpec(tuple(entries))
+    return table_param_spec(_layer_table(config, num_classes), feature_dim)
 
 
 def init_encoder_state(
@@ -134,7 +136,7 @@ def build_operators(dataset: GraphDataset, config: EncoderConfig) -> SymmetricOp
 def gcn_layer_forward(features: np.ndarray, edges, weights: np.ndarray) -> np.ndarray:
     """ReLU(A_hat @ features @ weights) for one graph given its edge list."""
     prop = normalize_adjacency(_adjacency(features.shape[0], edges))
-    out, _ = propagate_forward(prop, features, weights, activation=True)
+    out, _ = dense_forward(prop @ features, weights, relu=True)
     return out
 
 
@@ -145,7 +147,8 @@ def gin_layer_forward(
     a = _adjacency(features.shape[0], edges)
     w1, b1, w2, b2 = mlp_weights
     agg = (1.0 + epsilon) * features + a @ features
-    out, _ = mlp2_forward(agg, w1, b1, w2, b2)
+    hidden, _ = dense_forward(agg, w1, b1, relu=True)
+    out, _ = dense_forward(hidden, w2, b2)
     return out
 
 
@@ -161,77 +164,24 @@ def _forward(dataset, config, views, rng, train, op):
         op = build_operators(dataset, config)
     p = config.dropout if train else 0.0
     sizes = dataset.sizes()
+    table = _layer_table(config, dataset.num_classes)
+    layers, head = table[:-2], table[-2:]
     x = np.vstack([g.node_features for g in dataset.graphs])
-    layer_caches = []
-    for layer in range(1, config.num_layers + 1):
-        if config.arch == ARCH_GCN:
-            w = views[f"layer{layer}.W"]
-            x, cache = propagate_forward(op, x, w, activation=True)
-        else:
-            w1 = views[f"layer{layer}.W1"]
-            b1 = views[f"layer{layer}.b1"]
-            w2 = views[f"layer{layer}.W2"]
-            b2 = views[f"layer{layer}.b2"]
-            x, cache = mlp2_forward(op @ x, w1, b1, w2, b2)
-        mask = None
-        if p > 0.0:
-            mask = dropout_mask(rng, x.shape, p)
-            x = x * mask
-        layer_caches.append((cache, mask))
+    x, layer_caches = table_forward(layers, x, views, op, p, rng)
     h = np.add.reduceat(x, np.cumsum(sizes) - sizes, axis=0)
     if config.readout == READOUT_MEAN:
         h = h / sizes[:, None]
-
-    w1, b1 = views["head.W1"], views["head.b1"]
-    w2, b2 = views["head.W2"], views["head.b2"]
-    z1 = h @ w1 + b1
-    r1 = relu(z1)
-    head_mask = None
-    if p > 0.0:
-        head_mask = dropout_mask(rng, r1.shape, p)
-        r1_dropped = r1 * head_mask
-    else:
-        r1_dropped = r1
-    logits = r1_dropped @ w2 + b2
-    cache = (op, sizes, layer_caches, h, z1, r1_dropped, head_mask)
-    return h, logits, cache
+    logits, head_caches = table_forward(head, h, views, None, p, rng)
+    return h, logits, (op, sizes, layers, layer_caches, head, head_caches)
 
 
-def _backward(config, views, cache, dlogits, grad_views):
-    op, sizes, layer_caches, h, z1, r1_dropped, head_mask = cache
-    w1, w2 = views["head.W1"], views["head.W2"]
-
-    grad_views["head.W2"] += r1_dropped.T @ dlogits
-    grad_views["head.b2"] += dlogits.sum(axis=0)
-    dr1 = dlogits @ w2.T
-    if head_mask is not None:
-        dr1 = dr1 * head_mask
-    dz1 = dr1 * (z1 > 0)
-    grad_views["head.W1"] += h.T @ dz1
-    grad_views["head.b1"] += dz1.sum(axis=0)
-    dh = dz1 @ w1.T
-
+def _backward(config, cache, dlogits, grad_views):
+    op, sizes, layers, layer_caches, head, head_caches = cache
+    dh = table_backward(head, head_caches, dlogits, None, grad_views, True)
     if config.readout == READOUT_MEAN:
         dh = dh / sizes[:, None]
     dx = np.repeat(dh, sizes, axis=0)
-    for layer in range(config.num_layers, 0, -1):
-        # drop each layer's cache once its gradients are taken
-        layer_cache, mask = layer_caches.pop()
-        if mask is not None:
-            dx *= mask
-        if config.arch == ARCH_GCN:
-            dx, dw, _ = propagate_backward_inplace(
-                layer_cache, dx, input_grad=layer > 1
-            )
-            grad_views[f"layer{layer}.W"] += dw
-        else:
-            dagg, dw1, db1, dw2, db2 = mlp2_backward(layer_cache, dx)
-            grad_views[f"layer{layer}.W1"] += dw1
-            grad_views[f"layer{layer}.b1"] += db1
-            grad_views[f"layer{layer}.W2"] += dw2
-            grad_views[f"layer{layer}.b2"] += db2
-            if layer > 1:
-                dx = op @ dagg
+    table_backward(layers, layer_caches, dx, op, grad_views, False)
 
 
 def encode_dataset(
@@ -268,5 +218,5 @@ def supervised_loss_and_grad(
     )
     grad = np.zeros_like(state.params)
     grad_views = state.spec.views(grad)
-    _backward(config, views, cache, dlogits, grad_views)
+    _backward(config, cache, dlogits, grad_views)
     return loss, grad, h, logits

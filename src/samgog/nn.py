@@ -1,5 +1,10 @@
 """Shared neural-network plumbing: flat parameter vectors partitioned into
-named tensors, activations, cross-entropy, and SGD/Adam.
+named tensors, the dense map and its layer tables, cross-entropy, and
+SGD/Adam.
+
+Every network is a layer table of dense maps ``[ReLU](x @ W [+ b])``, each
+optionally preceded by a propagation ``op @ x`` and followed by dropout;
+``dense_backward`` is the one place a dense map is differentiated.
 
 All arithmetic is float64 so finite-difference gradient checks can use tight
 tolerances.
@@ -67,12 +72,8 @@ def glorot_init(spec: ParamSpec, *key_parts: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Activations and losses
+# Dropout and losses
 # ---------------------------------------------------------------------------
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:
@@ -106,7 +107,7 @@ def cross_entropy_and_dlogits(
 
 
 # ---------------------------------------------------------------------------
-# Propagation layers (shared by the encoder and the GoG classifier)
+# Sparse propagation (shared by the encoder and the GoG classifier)
 # ---------------------------------------------------------------------------
 
 
@@ -204,65 +205,95 @@ def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def propagate_forward(
-    prop,
-    x: np.ndarray,
-    w: np.ndarray,
-    activation: bool,
-    bias: np.ndarray | None = None,
+# ---------------------------------------------------------------------------
+# Dense maps and layer tables
+# ---------------------------------------------------------------------------
+
+
+def dense_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, relu: bool = False
 ) -> tuple[np.ndarray, tuple]:
-    """One graph-convolution layer out = [relu](prop @ x @ w [+ b]) with cache;
-    ``prop`` is symmetric (a ``SymmetricOperator`` or its dense oracle)."""
-    px = prop @ x
-    out = px @ w
-    if bias is not None:
-        out += bias
-    if activation:
+    """One dense map out = [relu](x @ w [+ b]) applied row-wise, with its
+    cache: the input, the weight, the ReLU output (None without ReLU) and
+    whether a bias was added."""
+    out = x @ w
+    if b is not None:
+        out += b
+    if relu:
         np.maximum(out, 0.0, out=out)
-    return out, (prop, px, out if activation else None, w, bias is not None)
+    return out, (x, w, out if relu else None, b is not None)
 
 
-def propagate_backward_inplace(cache: tuple, dout: np.ndarray, input_grad: bool = True):
-    """Gradients (dx, dw, db) for propagate_forward; db is None without bias
+def dense_backward(cache: tuple, dout: np.ndarray, input_grad: bool):
+    """Gradients (dx, dw, db) for dense_forward; db is None without bias
     and dx is None without ``input_grad`` (a first layer's input is data).
 
     Overwrites ``dout`` with the pre-activation gradient, so the backward
     pass holds one node-sized gradient fewer; pass a copy to keep it.  The
     cached ReLU output masks it: it is positive exactly where the ReLU's
     input is."""
-    prop, px, out, w, has_bias = cache
-    dz = dout
+    x, w, out, has_bias = cache
     if out is not None:
-        dz *= out > 0
-    dw = px.T @ dz
-    db = dz.sum(axis=0) if has_bias else None
-    dx = prop @ (dz @ w.T) if input_grad else None
+        dout *= out > 0
+    dw = x.T @ dout
+    db = dout.sum(axis=0) if has_bias else None
+    dx = dout @ w.T if input_grad else None
     return dx, dw, db
 
 
-def mlp2_forward(
-    x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray
-) -> tuple[np.ndarray, tuple]:
-    """Two-layer perceptron w2 @ relu(w1 x + b1) + b2 applied row-wise."""
-    h1 = x @ w1
-    h1 += b1
-    np.maximum(h1, 0.0, out=h1)
-    out = h1 @ w2
-    out += b2
-    return out, (x, h1, w1, w2)
+# A layer table lists a network's dense maps in forward order, one row each:
+# (weight name, bias name or None, relu, width, propagate, dropout).  A row
+# maps its input to ``width`` columns; ``propagate`` applies the operator to
+# its input first, and ``dropout`` masks its output in training.
 
 
-def mlp2_backward(cache: tuple, dout: np.ndarray):
-    """Returns (dx, dw1, db1, dw2, db2)."""
-    x, h1, w1, w2 = cache
-    dw2 = h1.T @ dout
-    db2 = dout.sum(axis=0)
-    dz1 = dout @ w2.T
-    dz1 *= h1 > 0
-    dw1 = x.T @ dz1
-    db1 = dz1.sum(axis=0)
-    dx = dz1 @ w1.T
-    return dx, dw1, db1, dw2, db2
+def table_param_spec(table, in_dim: int) -> ParamSpec:
+    """Each row's weight (in, width), then its bias (width,), in table order."""
+    entries = []
+    for weight, bias, _, width, _, _ in table:
+        entries.append((weight, (in_dim, width)))
+        if bias is not None:
+            entries.append((bias, (width,)))
+        in_dim = width
+    return ParamSpec(tuple(entries))
+
+
+def table_forward(table, x, views, op, p: float, rng):
+    """Runs ``table`` on ``x``; dropout with rate ``p`` draws its masks from
+    ``rng`` in row order.  Returns (output, caches for table_backward)."""
+    caches = []
+    for weight, bias, relu, _, propagate, dropout in table:
+        if propagate:
+            x = op @ x
+        b = views[bias] if bias is not None else None
+        x, cache = dense_forward(x, views[weight], b, relu)
+        mask = None
+        if dropout and p > 0.0:
+            mask = dropout_mask(rng, x.shape, p)
+            x = x * mask
+        caches.append((cache, mask))
+    return x, caches
+
+
+def table_backward(table, caches, dout, op, grad_views, input_grad: bool):
+    """Adds every row's parameter gradients into ``grad_views`` and returns
+    the gradient of the table's input, None without ``input_grad``.
+    Consumes ``caches`` and may overwrite ``dout``."""
+    dx = dout
+    for i in range(len(table) - 1, -1, -1):
+        weight, bias, _, _, propagate, _ = table[i]
+        # drop each row's cache once its gradients are taken
+        cache, mask = caches.pop()
+        if mask is not None:
+            dx *= mask
+        need_dx = input_grad or i > 0
+        dx, dw, db = dense_backward(cache, dx, need_dx)
+        grad_views[weight] += dw
+        if bias is not None:
+            grad_views[bias] += db
+        if propagate and need_dx:
+            dx = op @ dx
+    return dx
 
 
 # ---------------------------------------------------------------------------

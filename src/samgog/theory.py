@@ -253,6 +253,11 @@ def check_variance_decay(
     """Train the downstream model with t sampled structures per step under a
     diminishing learning rate; the replicate variance of the final full-graph
     embeddings should scale like 1/t."""
+    if len(set(t_values)) < 2 or min(t_values) < 1:
+        raise ValueError(
+            "t_values needs at least two distinct values, each >= 1; "
+            f"got {tuple(t_values)}"
+        )
     if replicates < 2:
         raise ValueError("variance estimation needs at least 2 replicates")
     sim, alloc, h, labels, labeled_idx = _variance_task(seed)

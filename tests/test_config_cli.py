@@ -321,6 +321,16 @@ class TestOtherSubcommands:
         assert len(report["checks"]) == 4
         assert status == (0 if report["all_passed"] else 1)
 
+    @pytest.mark.parametrize("t_values", ["0,1", "4"])
+    def test_theory_rejects_bad_t_values_by_name(self, tmp_path, capsys, t_values):
+        status = cli.main(
+            ["theory", "--out", str(tmp_path), "--ordering-trials", "20",
+             "--unbiasedness-trials", "300", "--monotonicity-trials", "30",
+             "--t-values", t_values, "--replicates", "6", "--seed", "0"]
+        )
+        assert status == 1
+        assert "t_values" in capsys.readouterr().err
+
     def test_make_split_and_inspect(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         out = str(tmp_path / "out")

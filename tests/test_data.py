@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from samgog import data
 from samgog import rng as rng_mod
+from samgog.degree_alloc import AllocConfig, InfeasibleAllocationError
 
 
 def write_minimal_dataset(tmp_path, name="MINI"):
@@ -461,6 +462,19 @@ class TestSplits:
         path.write_text(text)
         with pytest.raises(data.ParseError, match=f"s.txt{where}"):
             data.read_split(str(path))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["rho_class", "train_fraction", "rho1", "rho2"])
+def test_non_finite_ratio_rejected_by_name(name, value):
+    if name in ("rho1", "rho2"):
+        with pytest.raises(InfeasibleAllocationError, match=name):
+            AllocConfig(**{name: value})
+        return
+    ds = data.make_path_graph_dataset([3] * 40, labels=[0, 1] * 20)
+    ratios = {"rho_class": 3.0, "train_fraction": 0.5, name: value}
+    with pytest.raises(data.SplitError, match=name):
+        data.make_class_imbalanced_split(ds, val_fraction=0.25, seed=0, **ratios)
 
 
 def test_labels_with_test_masked():
