@@ -12,13 +12,7 @@ from .data import (
     make_planted_dataset,
     parse_tudataset,
 )
-from .degree_alloc import (
-    AllocConfig,
-    DegreeAllocation,
-    allocate_degrees,
-    greedy_allocation,
-    oracle_optimal_allocation,
-)
+from .degree_alloc import AllocConfig, DegreeAllocation, allocate_degrees
 from .downstream import (
     GoGClassifierConfig,
     MetricsReport,
@@ -29,19 +23,11 @@ from .downstream import (
     train_full_pipeline,
 )
 from .encoder import EncoderConfig, encode_dataset, supervised_loss_and_grad
-from .sampler import (
-    GoGGraph,
-    SamplerConfig,
-    edge_homophily,
-    empirical_inclusion_matrix,
-)
+from .sampler import GoGGraph, SamplerConfig, edge_homophily
 from .similarity import (
     FactorSimilarity,
-    ProbMatrix,
-    SimilarityMatrix,
     build_prob_matrix,
     expected_homophily,
-    homophily_prob,
     similarity_matrix,
 )
 

@@ -131,7 +131,6 @@ class SplitSpec:
     val_idx: tuple[int, ...]
     test_idx: tuple[int, ...]
     rho_class: float | None = None
-    rho_size: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -501,7 +500,6 @@ def make_class_imbalanced_split(
         val_idx=tuple(val),
         test_idx=tuple(test),
         rho_class=float(rho_class),
-        rho_size=None,
         seed=seed,
     )
 
@@ -512,10 +510,7 @@ def write_split(split: SplitSpec, path: str) -> None:
         return "none" if x is None else repr(float(x))
 
     with open(path, "w") as f:
-        f.write(
-            f"# rho_class={fmt(split.rho_class)} rho_size={fmt(split.rho_size)} "
-            f"seed={split.seed}\n"
-        )
+        f.write(f"# rho_class={fmt(split.rho_class)} seed={split.seed}\n")
         for idx in (split.train_idx, split.val_idx, split.test_idx):
             f.write(",".join(str(i) for i in idx) + "\n")
 
@@ -553,7 +548,6 @@ def read_split(path: str) -> SplitSpec:
         val_idx=lists[1],
         test_idx=lists[2],
         rho_class=header("rho_class", ratio, "none"),
-        rho_size=header("rho_size", ratio, "none"),
         seed=header("seed", int, "0"),
     )
 
@@ -595,6 +589,11 @@ def make_planted_dataset(
     if not 0.0 <= edge_prob <= 1.0:  # NaN fails too
         raise DatasetError(
             f"planted dataset needs 0 <= edge_prob <= 1, got edge_prob={edge_prob}"
+        )
+    if not (math.isfinite(signal) and math.isfinite(noise)):
+        raise DatasetError(
+            f"planted dataset needs finite signal and noise, got signal={signal}, "
+            f"noise={noise}"
         )
     rng = generator(seed, 0x9D0)
     pairs = {}  # n -> np.triu_indices(n, 1)

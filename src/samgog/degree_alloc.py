@@ -77,10 +77,6 @@ class DegreeAllocation:
         if int(k.sum()) != self.total:
             raise InfeasibleAllocationError("allocation total does not match k")
 
-    def check_bounds(self, config: AllocConfig) -> None:
-        if np.any(self.k < config.k_min) or np.any(self.k > config.k_max):
-            raise InfeasibleAllocationError("allocation violates degree bounds")
-
 
 def target_total_degree(n: int, d_bar: float) -> int:
     """The conserved degree budget round(N * d_bar)."""
@@ -262,7 +258,8 @@ def allocate_degrees(
         k[order] += np.clip(excess - filled + room, 0, room)
 
     alloc = DegreeAllocation(k=k, total=total)
-    alloc.check_bounds(config)
+    if np.any(k < config.k_min) or np.any(k > config.k_max):
+        raise InfeasibleAllocationError("allocation violates degree bounds")
     return alloc
 
 

@@ -26,7 +26,6 @@ from .encoder import EncoderConfig, encode_dataset, init_encoder_state, build_op
 from .encoder import supervised_loss_and_grad as encoder_loss_and_grad
 from .nn import (
     ModelState,
-    ParamSpec,
     SymmetricOperator,
     TrainingError,
     cross_entropy_and_dlogits,
@@ -102,12 +101,6 @@ def _layer_table(config: GoGClassifierConfig, num_classes: int) -> list[tuple]:
     return rows
 
 
-def downstream_param_spec(
-    config: GoGClassifierConfig, in_dim: int, num_classes: int
-) -> ParamSpec:
-    return table_param_spec(_layer_table(config, num_classes), in_dim)
-
-
 def init_downstream_state(
     in_dim: int,
     num_classes: int,
@@ -117,7 +110,7 @@ def init_downstream_state(
     learning_rate: float = 0.01,
     schedule: str = "constant",
 ) -> ModelState:
-    spec = downstream_param_spec(config, in_dim, num_classes)
+    spec = table_param_spec(_layer_table(config, num_classes), in_dim)
     return init_model_state(
         spec, (seed, 0xD09), optimizer=optimizer,
         learning_rate=learning_rate, schedule=schedule,
@@ -148,11 +141,10 @@ def downstream_forward(
     h: np.ndarray,
     state: ModelState,
     config: GoGClassifierConfig,
-    train: bool = False,
 ) -> np.ndarray:
-    """Logits per GoG node for a propagation matrix from
+    """Eval-mode logits per GoG node for a propagation matrix from
     ``gog_propagation_matrix``."""
-    logits, _, _ = _downstream_forward(prop, h, state, config, train)
+    logits, _, _ = _downstream_forward(prop, h, state, config, False)
     return logits
 
 
@@ -208,16 +200,13 @@ def compute_metrics(
             recalls.append(tp / actual.sum())
         else:
             recalls.append(float("nan"))
-        if actual.sum() == 0 and predicted.sum() == 0:
-            f1s.append(0.0)
-        else:
-            precision = tp / predicted.sum() if predicted.sum() else 0.0
-            recall = tp / actual.sum() if actual.sum() else 0.0
-            f1s.append(
-                0.0
-                if precision + recall == 0.0
-                else 2.0 * precision * recall / (precision + recall)
-            )
+        precision = tp / predicted.sum() if predicted.sum() else 0.0
+        recall = tp / actual.sum() if actual.sum() else 0.0
+        f1s.append(
+            0.0
+            if precision + recall == 0.0
+            else 2.0 * precision * recall / (precision + recall)
+        )
     balanced = float(np.nanmean(recalls))
     macro_f1 = float(np.mean(f1s))
 
@@ -261,7 +250,7 @@ def _mean_eval_logits(sampler, h, state, config, stream_base, count):
         gog = sampler.sample(stream_base + j)
         gogs.append(gog)
         prop = gog_propagation_matrix(gog)
-        logits = downstream_forward(prop, h, state, config, train=False)
+        logits = downstream_forward(prop, h, state, config)
         acc = logits if acc is None else acc + logits
     return acc / count, gogs
 
@@ -312,7 +301,7 @@ def train_full_pipeline(
     if len(split.test_idx) == 0:
         raise TrainingError("pipeline evaluation requires a non-empty test set")
     t = sampler_config.samples_per_epoch
-    n_eval = eval_samples if eval_samples is not None else max(t, 1)
+    n_eval = eval_samples if eval_samples is not None else t
     if n_eval < 1:
         raise ValueError(f"eval_samples must be >= 1, got {eval_samples}")
 
@@ -459,7 +448,6 @@ def train_encoder_baseline(
     epochs: int,
     seed: int,
     learning_rate: float = 0.01,
-    optimizer: str = "adam",
 ) -> MetricsReport:
     """Encoder-only reference: classify straight from the encoder head with
     no graph-of-graphs stage, same selection rule as the full pipeline."""
@@ -471,8 +459,7 @@ def train_encoder_baseline(
     val_list = list(split.val_idx)
     op = build_operators(dataset, encoder_config)
     enc_state = init_encoder_state(
-        dataset, encoder_config, seed,
-        optimizer=optimizer, learning_rate=learning_rate,
+        dataset, encoder_config, seed, learning_rate=learning_rate
     )
     best_params = enc_state.params.copy()
     best_score = -np.inf

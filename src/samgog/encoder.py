@@ -13,6 +13,7 @@ and the operator, and ``nn.dense_backward`` gives every gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ import numpy as np
 from .data import GraphDataset
 from .nn import (
     ModelState,
-    ParamSpec,
     SymmetricOperator,
     cross_entropy_and_dlogits,
     dense_forward,
@@ -55,6 +55,8 @@ class EncoderConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.readout not in (READOUT_MEAN, READOUT_SUM):
             raise ValueError(f"unknown readout {self.readout!r}")
+        if not math.isfinite(self.epsilon_gin):
+            raise ValueError(f"epsilon_gin must be finite, got {self.epsilon_gin}")
 
 
 def _layer_table(config: EncoderConfig, num_classes: int) -> list[tuple]:
@@ -74,12 +76,6 @@ def _layer_table(config: EncoderConfig, num_classes: int) -> list[tuple]:
     return rows
 
 
-def encoder_param_spec(
-    config: EncoderConfig, feature_dim: int, num_classes: int
-) -> ParamSpec:
-    return table_param_spec(_layer_table(config, num_classes), feature_dim)
-
-
 def init_encoder_state(
     dataset: GraphDataset,
     config: EncoderConfig,
@@ -88,7 +84,9 @@ def init_encoder_state(
     learning_rate: float = 0.01,
     schedule: str = "constant",
 ) -> ModelState:
-    spec = encoder_param_spec(config, dataset.feature_dim, dataset.num_classes)
+    spec = table_param_spec(
+        _layer_table(config, dataset.num_classes), dataset.feature_dim
+    )
     return init_model_state(
         spec, (seed, 0xE7C), optimizer=optimizer,
         learning_rate=learning_rate, schedule=schedule,
@@ -188,11 +186,10 @@ def encode_dataset(
     dataset: GraphDataset,
     config: EncoderConfig,
     state: ModelState,
-    train: bool = False,
     op: SymmetricOperator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Graph embeddings H (N x hidden) and class logits (N x C)."""
-    h, logits, _ = _forward(dataset, config, state.views(), state.rng, train, op)
+    """Eval-mode graph embeddings H (N x hidden) and class logits (N x C)."""
+    h, logits, _ = _forward(dataset, config, state.views(), state.rng, False, op)
     return h, logits
 
 

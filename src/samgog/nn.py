@@ -302,6 +302,10 @@ def table_backward(table, caches, dout, op, grad_views, input_grad: bool):
 
 SCHEDULE_CONSTANT = "constant"
 SCHEDULE_INVERSE = "inverse"  # eta_s = eta_0 / s, the diminishing-rate mode
+# Adam's moment decay rates and denominator guard
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -313,9 +317,6 @@ class ModelState:
     optimizer: str = "adam"
     learning_rate: float = 0.01
     schedule: str = SCHEDULE_CONSTANT
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: np.ndarray = field(default=None)  # type: ignore[assignment]
     v: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -380,9 +381,9 @@ def optimizer_step(state: ModelState, grad: np.ndarray) -> ModelState:
         state.params -= lr * grad
     else:
         s = state.step_count
-        state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-        state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-        m_hat = state.m / (1.0 - state.beta1**s)
-        v_hat = state.v / (1.0 - state.beta2**s)
-        state.params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grad
+        state.v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * grad * grad
+        m_hat = state.m / (1.0 - _ADAM_BETA1**s)
+        v_hat = state.v / (1.0 - _ADAM_BETA2**s)
+        state.params -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return state

@@ -28,26 +28,6 @@ class DegenerateRowError(Exception):
 
 
 @dataclass(frozen=True)
-class ProbMatrix:
-    P: np.ndarray  # (N, C) rows on the simplex
-    labeled_mask: np.ndarray  # (N,) bool
-
-    def __post_init__(self):
-        p = self.P
-        if p.ndim != 2:
-            raise ValueError("P must be a 2-D matrix")
-        if self.labeled_mask.shape != (p.shape[0],):
-            raise ValueError("labeled_mask length must match P rows")
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-            raise ValueError("P entries must lie in [0, 1]")
-        if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("P rows must sum to 1")
-        lab = p[self.labeled_mask]
-        if lab.size and not np.all((lab == 0.0) | (lab == 1.0)):
-            raise ValueError("labeled rows must be exact one-hot")
-
-
-@dataclass(frozen=True)
 class SimilarityMatrix:
     S: np.ndarray  # (N, N)
     diagonal_zeroed: bool
@@ -56,6 +36,10 @@ class SimilarityMatrix:
         s = self.S
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("S must be square")
+        finite = np.isfinite(s)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValueError(f"S entries must be finite: S[{i}, {j}] = {s[i, j]}")
         if np.any(np.abs(s - s.T) > 1e-12):
             raise ValueError("S must be symmetric")
         if np.any(s < -1e-12) or np.any(s > 1.0 + 1e-9):
@@ -85,6 +69,16 @@ class FactorSimilarity:
     P: np.ndarray  # (N, C) rows on the simplex
     diagonal_zeroed: bool
 
+    def __post_init__(self):
+        # written as "not all within bound", so a NaN entry fails each check
+        p = self.P
+        if p.ndim != 2:
+            raise ValueError("P must be a 2-D matrix")
+        if not (np.all(p >= -1e-12) and np.all(p <= 1.0 + 1e-12)):
+            raise ValueError("P entries must lie in [0, 1]")
+        if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-9):
+            raise ValueError("P rows must sum to 1")
+
     @property
     def num_nodes(self) -> int:
         return self.P.shape[0]
@@ -109,11 +103,20 @@ Similarity = SimilarityMatrix | FactorSimilarity
 
 def build_prob_matrix(
     logits: np.ndarray, labels: np.ndarray, labeled_mask: np.ndarray
-) -> ProbMatrix:
-    """One-hot rows where labeled, stabilized softmax of logits elsewhere."""
+) -> np.ndarray:
+    """The (N, C) matrix P: one-hot rows where labeled, stabilized softmax of
+    logits elsewhere."""
     labels = np.asarray(labels, dtype=np.int64)
     labeled_mask = np.asarray(labeled_mask, dtype=bool)
     n, c = logits.shape
+    if labeled_mask.shape != (n,):
+        raise ValueError(
+            f"labeled_mask has shape {labeled_mask.shape} for {n} rows of logits"
+        )
+    finite = np.isfinite(logits).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"logits must be finite: row {row} is {logits[row]}")
     p = softmax_rows(logits)
     idx = np.nonzero(labeled_mask)[0]
     y = labels[idx]
@@ -122,25 +125,17 @@ def build_prob_matrix(
         raise ValueError(f"labeled node {idx[bad][0]} has no usable label")
     p[idx] = 0.0
     p[idx, y] = 1.0
-    return ProbMatrix(P=p, labeled_mask=labeled_mask)
+    return p
 
 
-def similarity_matrix(prob: ProbMatrix, zero_diagonal: bool = True) -> FactorSimilarity:
-    """The similarity of ``prob`` in factor form, in O(NC)."""
-    return FactorSimilarity(P=prob.P, diagonal_zeroed=zero_diagonal)
-
-
-def homophily_prob(sim: Similarity, true_labels: np.ndarray, i: int) -> float:
-    """Similarity-weighted probability that node i's neighbor shares y_i."""
-    row = sim.S[i]
-    total = row.sum()
-    if total <= 0.0:
-        raise DegenerateRowError(f"similarity row {i} has zero total mass")
-    same = row[np.asarray(true_labels) == true_labels[i]].sum()
-    return float(same / total)
+def similarity_matrix(prob: np.ndarray, zero_diagonal: bool = True) -> FactorSimilarity:
+    """The similarity of the (N, C) matrix ``prob`` in factor form, in O(NC)."""
+    return FactorSimilarity(P=prob, diagonal_zeroed=zero_diagonal)
 
 
 def homophily_prob_all(sim: Similarity, true_labels: np.ndarray) -> np.ndarray:
+    """Per node, the similarity-weighted probability that a neighbor shares
+    its label."""
     labels = np.asarray(true_labels)
     s = sim.S
     totals = s.sum(axis=1)

@@ -38,7 +38,7 @@ from .sampler import (
     empirical_inclusion_matrix,
     expected_inclusion_matrix,
 )
-from .similarity import FactorSimilarity, SimilarityMatrix, homophily_prob
+from .similarity import FactorSimilarity, SimilarityMatrix, homophily_prob_all
 
 
 @dataclass(frozen=True)
@@ -224,9 +224,11 @@ def fit_log_log_slope(t_values, variances) -> tuple[float, float]:
     return slope, r2
 
 
-def _variance_task(seed: int, n: int = 24):
+def _variance_task(seed: int):
     """Fixed similarity matrix, allocation, and node features for the
-    variance sweep: a noisy two-class layout where training never saturates."""
+    variance sweep: a noisy two-class layout of 24 nodes where training never
+    saturates."""
+    n = 24
     rng = generator(seed, 0xFA5)
     labels = np.arange(n) % 2
     own = rng.uniform(0.6, 0.9, size=n)
@@ -248,14 +250,14 @@ def check_variance_decay(
     replicates: int = 30,
     seed: int = 0,
     epochs: int = 30,
-    base_lr: float = 0.3,
 ) -> VarianceSweepResult:
     """Train the downstream model with t sampled structures per step under a
     diminishing learning rate; the replicate variance of the final full-graph
     embeddings should scale like 1/t."""
-    if len(set(t_values)) < 2 or min(t_values) < 1:
+    if (len(t_values) < 2 or min(t_values) < 1
+            or list(t_values) != sorted(set(t_values))):
         raise ValueError(
-            "t_values needs at least two distinct values, each >= 1; "
+            "t_values needs at least two strictly increasing values, each >= 1; "
             f"got {tuple(t_values)}"
         )
     if replicates < 2:
@@ -276,7 +278,7 @@ def check_variance_decay(
             )
             state = init_downstream_state(
                 h.shape[1], 2, config, seed,  # same init across replicates
-                optimizer="sgd", learning_rate=base_lr, schedule=SCHEDULE_INVERSE,
+                optimizer="sgd", learning_rate=0.3, schedule=SCHEDULE_INVERSE,
             )
             for epoch in range(1, epochs + 1):
                 grad_sum = None
@@ -288,7 +290,7 @@ def check_variance_decay(
                     )
                     grad_sum = grad if grad_sum is None else grad_sum + grad
                 optimizer_step(state, grad_sum / t)
-            final = downstream_forward(full_prop, h, state, config, train=False)
+            final = downstream_forward(full_prop, h, state, config)
             finals.append(final.ravel())
         stacked = np.vstack(finals)
         variances.append(float(stacked.var(axis=0, ddof=1).mean()))
@@ -396,8 +398,7 @@ def check_rule_monotonicity(num_trials: int = 1000, seed: int = 0) -> CheckRepor
             continue
         # self-similarity kept: the comparison context
         sim = FactorSimilarity(P=p, diagonal_zeroed=False)
-        prob_labeled = homophily_prob(sim, labels, 0)
-        prob_unlabeled = homophily_prob(sim, labels, 1)
+        prob_labeled, prob_unlabeled = homophily_prob_all(sim, labels)[:2]
         if not prob_labeled > prob_unlabeled:
             failures += 1
     return CheckReport(
@@ -418,15 +419,16 @@ def run_all_checks(
     t_values=(1, 2, 4, 8, 16, 32),
     replicates: int = 30,
 ) -> dict:
-    """Run every check; returns a JSON-ready report dictionary."""
+    """Run every check; returns a JSON-ready report dictionary.  The sweep
+    runs first, so bad ``t_values`` fail before any other check runs."""
+    sweep = check_variance_decay(
+        t_values=t_values, replicates=replicates, seed=seed
+    )
     reports = [
         check_degree_ordering(num_trials=ordering_trials, seed=seed),
         check_sampling_unbiasedness(num_trials=unbiasedness_trials, seed=seed),
         check_rule_monotonicity(num_trials=monotonicity_trials, seed=seed),
     ]
-    sweep = check_variance_decay(
-        t_values=t_values, replicates=replicates, seed=seed
-    )
     all_passed = all(r.passed for r in reports) and sweep.passed()
     return {
         "seed": seed,

@@ -321,7 +321,7 @@ class TestOtherSubcommands:
         assert len(report["checks"]) == 4
         assert status == (0 if report["all_passed"] else 1)
 
-    @pytest.mark.parametrize("t_values", ["0,1", "4"])
+    @pytest.mark.parametrize("t_values", ["0,1", "4", "32,16"])
     def test_theory_rejects_bad_t_values_by_name(self, tmp_path, capsys, t_values):
         status = cli.main(
             ["theory", "--out", str(tmp_path), "--ordering-trials", "20",

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from samgog import data
 from samgog import rng as rng_mod
 from samgog.degree_alloc import AllocConfig, InfeasibleAllocationError
+from samgog.encoder import EncoderConfig
+from samgog.similarity import build_prob_matrix
 
 
 def write_minimal_dataset(tmp_path, name="MINI"):
@@ -449,6 +451,16 @@ class TestSplits:
         data.write_split(split, str(path))
         assert data.read_split(str(path)) == split
 
+    def test_header_drops_rho_size_and_old_headers_parse(self, tmp_path):
+        split = data.SplitSpec(
+            train_idx=(0, 1), val_idx=(), test_idx=(2,), rho_class=2.0, seed=3
+        )
+        path = tmp_path / "s.txt"
+        data.write_split(split, str(path))
+        assert path.read_text().splitlines()[0] == "# rho_class=2.0 seed=3"
+        path.write_text("# rho_class=2.0 rho_size=none seed=3\n0,1\n\n2\n")
+        assert data.read_split(str(path)) == split
+
     @pytest.mark.parametrize(
         "text, where",
         [
@@ -475,6 +487,23 @@ def test_non_finite_ratio_rejected_by_name(name, value):
     ratios = {"rho_class": 3.0, "train_fraction": 0.5, name: value}
     with pytest.raises(data.SplitError, match=name):
         data.make_class_imbalanced_split(ds, val_fraction=0.25, seed=0, **ratios)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["logits", "epsilon_gin", "signal", "noise"])
+def test_non_finite_input_rejected_where_it_enters(name, value):
+    if name == "logits":
+        with pytest.raises(ValueError, match="logits must be finite: row 1"):
+            build_prob_matrix(
+                np.array([[0.0, 1.0], [value, 0.0]]), np.array([-1, -1]),
+                np.zeros(2, dtype=bool),
+            )
+    elif name == "epsilon_gin":
+        with pytest.raises(ValueError, match="epsilon_gin"):
+            EncoderConfig(arch="gin", epsilon_gin=value)
+    else:
+        with pytest.raises(data.DatasetError, match=name):
+            data.make_planted_dataset(num_graphs=4, **{name: value})
 
 
 def test_labels_with_test_masked():

@@ -1,11 +1,14 @@
 """Each module imports on its own in a fresh interpreter, so an import cycle
-between two modules fails here whichever of them a caller imports first."""
+between two modules fails here whichever of them a caller imports first; and
+the package's top-level names are pinned, so adding or dropping an export is
+a deliberate change to this file."""
 
 import importlib.util
 import os
 import pkgutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -23,3 +26,28 @@ def test_module_imports_alone(module):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# every public name ``import samgog`` gives, submodules aside
+EXPORTS = {
+    "AllocConfig", "DegreeAllocation", "EncoderConfig", "FactorSimilarity",
+    "GoGClassifierConfig", "GoGGraph", "GraphDataset", "InputGraph",
+    "MetricsReport", "PipelineResult", "SamplerConfig", "SplitSpec",
+    "allocate_degrees", "build_features", "build_prob_matrix",
+    "compute_class_imbalance_ratio", "compute_metrics",
+    "compute_size_imbalance_ratio", "downstream_forward", "edge_homophily",
+    "encode_dataset", "expected_homophily", "head_tail_partition",
+    "make_class_imbalanced_split", "make_planted_dataset", "parse_tudataset",
+    "similarity_matrix", "supervised_loss_and_grad", "train_encoder_baseline",
+    "train_full_pipeline",
+}
+
+
+def test_package_exports_are_pinned():
+    import samgog
+
+    names = {
+        name for name, value in vars(samgog).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == EXPORTS

@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 from samgog import similarity as sim
 from samgog.nn import softmax_rows
 from samgog.degree_alloc import DegreeAllocation
-from samgog.sampler import GoGSampler, SamplerConfig, WITH_REPLACEMENT, edge_homophily
+from samgog.sampler import (
+    GoGSampler,
+    SamplerConfig,
+    WITH_REPLACEMENT,
+    WITHOUT_REPLACEMENT,
+    edge_homophily,
+)
 
 
 class TestProbMatrix:
@@ -16,19 +22,19 @@ class TestProbMatrix:
         p = sim.build_prob_matrix(
             logits, np.array([1, -1]), np.array([True, False])
         )
-        assert np.array_equal(p.P[0], [0.0, 1.0])
+        assert np.array_equal(p[0], [0.0, 1.0])
 
     def test_uniform_softmax_for_zero_logits(self):
         p = sim.build_prob_matrix(
             np.zeros((1, 2)), np.array([-1]), np.array([False])
         )
-        assert np.array_equal(p.P[0], [0.5, 0.5])
+        assert np.array_equal(p[0], [0.5, 0.5])
 
     def test_closed_form_softmax(self):
         p = sim.build_prob_matrix(
             np.array([[math.log(3.0), 0.0]]), np.array([-1]), np.array([False])
         )
-        assert np.allclose(p.P[0], [0.75, 0.25], atol=1e-12)
+        assert np.allclose(p[0], [0.75, 0.25], atol=1e-12)
 
     def test_labeled_row_without_label_rejected(self):
         with pytest.raises(ValueError, match="labeled node 0"):
@@ -53,43 +59,42 @@ class TestProbMatrix:
         for i in np.nonzero(mask)[0]:
             expected[i] = np.eye(3)[labels[i]]
         got = sim.build_prob_matrix(logits, labels, mask)
-        assert got.P.tobytes() == expected.tobytes()
+        assert got.tobytes() == expected.tobytes()
 
     def test_invalid_rows_rejected(self):
         with pytest.raises(ValueError):
-            sim.ProbMatrix(P=np.array([[0.5, 0.6]]), labeled_mask=np.array([False]))
+            sim.similarity_matrix(np.array([[0.5, 0.6]]))
+
+    def test_nan_rows_rejected(self):
+        with pytest.raises(ValueError, match="P entries"):
+            sim.similarity_matrix(np.array([[math.nan, math.nan]]))
+
+    def test_mask_length_must_match_logits(self):
+        # a short mask would leave the rows past its end unlabeled
+        with pytest.raises(ValueError, match="labeled_mask"):
+            sim.build_prob_matrix(
+                np.zeros((4, 2)), np.array([0, 1, 0, 1]), np.array([True, True])
+            )
 
 
 class TestSimilarityMatrix:
     def test_same_class_onehot_pairs_score_one(self):
-        p = sim.ProbMatrix(
-            P=np.array([[1.0, 0.0], [1.0, 0.0]]),
-            labeled_mask=np.array([True, True]),
-        )
+        p = np.array([[1.0, 0.0], [1.0, 0.0]])
         s = sim.similarity_matrix(p, zero_diagonal=False)
         assert s.S[0, 1] == 1.0
 
     def test_cross_class_onehot_pairs_score_zero(self):
-        p = sim.ProbMatrix(
-            P=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            labeled_mask=np.array([True, True]),
-        )
+        p = np.array([[1.0, 0.0], [0.0, 1.0]])
         s = sim.similarity_matrix(p, zero_diagonal=False)
         assert s.S[0, 1] == 0.0
 
     def test_hand_dot_product(self):
-        p = sim.ProbMatrix(
-            P=np.array([[0.75, 0.25], [0.5, 0.5]]),
-            labeled_mask=np.array([False, False]),
-        )
+        p = np.array([[0.75, 0.25], [0.5, 0.5]])
         s = sim.similarity_matrix(p, zero_diagonal=False)
         assert s.S[0, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_diagonal_zeroing(self):
-        p = sim.ProbMatrix(
-            P=np.array([[0.75, 0.25], [0.5, 0.5]]),
-            labeled_mask=np.array([False, False]),
-        )
+        p = np.array([[0.75, 0.25], [0.5, 0.5]])
         s = sim.similarity_matrix(p, zero_diagonal=True)
         assert np.all(np.diag(s.S) == 0.0)
         assert s.diagonal_zeroed
@@ -113,14 +118,14 @@ class TestHomophilyProb:
             S=np.array([[0.0, 0.3, 0.2], [0.3, 0.0, 0.4], [0.2, 0.4, 0.0]]),
             diagonal_zeroed=True,
         )
-        assert sim.homophily_prob(s, np.zeros(3, dtype=int), 0) == 1.0
+        assert sim.homophily_prob_all(s, np.zeros(3, dtype=int))[0] == 1.0
 
     def test_single_cross_label_neighbor_is_zero(self):
         s = sim.SimilarityMatrix(
             S=np.array([[0.0, 0.7, 0.0], [0.7, 0.0, 0.1], [0.0, 0.1, 0.0]]),
             diagonal_zeroed=True,
         )
-        assert sim.homophily_prob(s, np.array([0, 1, 1]), 0) == 0.0
+        assert sim.homophily_prob_all(s, np.array([0, 1, 1]))[0] == 0.0
 
     def test_hand_case_point_seven_five(self):
         s_row = np.array(
@@ -133,14 +138,14 @@ class TestHomophilyProb:
         )
         s = sim.SimilarityMatrix(S=s_row, diagonal_zeroed=True)
         labels = np.array([0, 0, 1, 0])
-        assert sim.homophily_prob(s, labels, 0) == pytest.approx(0.75, abs=1e-15)
+        assert sim.homophily_prob_all(s, labels)[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_degenerate_row_rejected(self):
         s = sim.SimilarityMatrix(
             S=np.array([[0.0, 0.0], [0.0, 0.0]]), diagonal_zeroed=True
         )
         with pytest.raises(sim.DegenerateRowError):
-            sim.homophily_prob(s, np.array([0, 0]), 0)
+            sim.homophily_prob_all(s, np.array([0, 0]))
 
     @given(st.integers(min_value=2, max_value=10), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -159,9 +164,7 @@ class TestExpectedHomophily:
         # indistinguishable rows: every node's homophily probability is the
         # same constant (1 same-class neighbor of 3), so the degree-weighted
         # mean equals it for any allocation
-        p = sim.ProbMatrix(
-            P=np.full((4, 2), 0.5), labeled_mask=np.zeros(4, dtype=bool)
-        )
+        p = np.full((4, 2), 0.5)
         s = sim.similarity_matrix(p, zero_diagonal=True)
         labels = np.array([0, 1, 0, 1])
         probs = sim.homophily_prob_all(s, labels)
@@ -174,27 +177,13 @@ class TestExpectedHomophily:
 
     def test_weighted_mean_three_to_one(self):
         # prob vector (1, 0) with degrees (3, 1) -> 0.75
-        s = sim.SimilarityMatrix(
-            S=np.array(
-                [
-                    [0.0, 0.8, 0.0],
-                    [0.8, 0.0, 0.0],
-                    [0.0, 0.0, 0.0],
-                ]
-            ),
-            diagonal_zeroed=True,
-        )
-        # node 2 is isolated; restrict to nodes 0 and 1
-        labels = np.array([0, 0, 1])
-        probs = [sim.homophily_prob(s, labels, i) for i in (0, 1)]
-        assert probs == [1.0, 1.0]
         mixed = sim.SimilarityMatrix(
             S=np.array([[0.0, 0.5], [0.5, 0.0]]), diagonal_zeroed=True
         )
         labels2 = np.array([0, 1])
         alloc = DegreeAllocation(k=np.array([3, 1]), total=4)
         # both rows have prob 0 here; assert the degenerate case directly
-        p0 = sim.homophily_prob(mixed, labels2, 0)
+        p0 = sim.homophily_prob_all(mixed, labels2)[0]
         assert p0 == 0.0
         assert sim.expected_homophily(mixed, labels2, alloc) == 0.0
 
@@ -235,12 +224,25 @@ class TestOneHotPurity:
         def prob_with_row(row):
             p = p_soft.copy()
             p[i] = row
-            mat = sim.ProbMatrix(P=p, labeled_mask=np.zeros(n, dtype=bool))
-            s = sim.similarity_matrix(mat, zero_diagonal=True)
-            return sim.homophily_prob(s, labels, i)
+            s = sim.similarity_matrix(p, zero_diagonal=True)
+            return sim.homophily_prob_all(s, labels)[i]
 
         soft = prob_with_row(p_soft[i])
         onehot = np.zeros(2)
         onehot[labels[i]] = 1.0
         hard = prob_with_row(onehot)
         assert hard >= soft - 1e-12
+
+
+@pytest.mark.parametrize("mode", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
+def test_dense_similarity_rejects_nan_before_sampling(mode):
+    # NaN fails every comparison, so a range check alone lets it through:
+    # the draw then prefers the NaN pairs or emits a self-edge
+    nan = math.nan
+    s = np.array([[0.0, nan, 0.5], [nan, 0.0, 0.2], [0.5, 0.2, 0.0]])
+    alloc = DegreeAllocation(k=np.array([2, 2, 2]), total=6)
+    with pytest.raises(ValueError, match=r"finite: S\[0, 1\] = nan"):
+        GoGSampler(
+            sim.SimilarityMatrix(S=s, diagonal_zeroed=True), alloc,
+            SamplerConfig(mode=mode, seed=0),
+        ).sample(0)

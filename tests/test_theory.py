@@ -85,6 +85,15 @@ class TestVarianceSweep:
         v = result.variance_estimates
         assert v[0] > v[1] > v[2]
 
+    @pytest.mark.parametrize("t_values", [(4, 2), (1, 2, 2)])
+    def test_bad_t_values_rejected_before_sampling(self, monkeypatch, t_values):
+        def no_sampler(*args, **kwargs):
+            raise AssertionError("a sampler was built for a rejected sweep")
+
+        monkeypatch.setattr(theory, "GoGSampler", no_sampler)
+        with pytest.raises(ValueError, match="t_values"):
+            theory.check_variance_decay(t_values=t_values, replicates=2, epochs=1)
+
     def test_identical_replicate_streams_would_degenerate(self):
         # replicates=2 with identical sampling keys collapse variance to 0;
         # emulate by feeding the degenerate estimates to the result type
