@@ -128,7 +128,9 @@ class SymmetricOperator:
     directions; repeated pairs add.  With ``normalize`` the operator is
     ``D^{-1/2} (A + c I) D^{-1/2}``, ``D`` its row sums.  Every row stores its
     diagonal entry, so no row segment is empty; the operator is its own
-    transpose.
+    transpose.  The entries are put in row order by a stable sort of the
+    row ids cast to the narrowest integer type that holds ``n - 1``: a
+    radix sort up to 65536 nodes, with the same order as an int64 sort.
 
     ``op @ x`` walks the rows in chunks of about ``_CHUNK_ENTRIES`` stored
     entries: each chunk's entries are gathered from ``x``, scaled and
@@ -152,7 +154,9 @@ class SymmetricOperator:
         weight = np.broadcast_to(np.asarray(weight, dtype=np.float64), src.shape)
         nodes = np.arange(n)
         rows = np.concatenate((nodes, src, dst))
-        order = np.argsort(rows, kind="stable")
+        # a stable sort's permutation is unique, so the narrow ids (radix-
+        # sorted up to 16 bits) give the int64 sort's order
+        order = np.argsort(rows.astype(np.min_scalar_type(n - 1)), kind="stable")
         rows = rows[order]
         self.cols = np.concatenate((nodes, dst, src))[order]
         vals = np.concatenate((np.full(n, float(diagonal)), weight, weight))[order]

@@ -81,15 +81,23 @@ def key_uniforms(
     *,
     open_low: bool = False,
     out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform doubles for broadcast (key, counter) pairs.
 
     Default range is [0, 1); with ``open_low`` the range is (0, 1], which is
     what log-of-uniform perturbed keys need.  ``out``, a float64 array of the
-    broadcast shape, receives the values, so a caller drawing block after
-    block can reuse one buffer; its memory also serves as the mixing scratch.
+    broadcast shape, receives the values and serves as the mixing scratch;
+    ``scratch``, another 8-byte array of that shape, receives the counter
+    bits.  A caller drawing block after block can reuse both, and a call
+    given both allocates nothing of the broadcast shape.  (The bits cannot
+    share ``out``'s memory: numpy copies an in-place uint64 to float64
+    conversion.)
     """
-    bits = np.asarray(np.add(keys, counters, dtype=np.uint64, casting="unsafe"))
+    bits = np.asarray(np.add(
+        keys, counters, dtype=np.uint64, casting="unsafe",
+        out=None if scratch is None else scratch.view(np.uint64),
+    ))
     _mix_array(bits, None if out is None else out.view(np.uint64))
     bits >>= _SHIFT11
     if open_low:

@@ -9,12 +9,14 @@ the dense S.  Each draw's constants (its node's key id, its counter, its
 row's CDF offset and last positive column) are prepared once with the CDFs,
 so a sample keys, searches and counts only its sum(k) draws.
 Without-replacement draws k_i distinct neighbors by perturbed keys
-(log(u) / w order statistics, Efraimidis & Spirakis 2006), taking every
-row's top k_i in a row-wise partition of the key matrix.  That mode streams
-the similarity in row blocks of about ``_BLOCK_BYTES`` (``rows(r0, r1)`` of
-the factor form), so it never holds an N x N array; each block's keys and
-partition are those of the whole matrix, so blocking leaves the edges as
-they are.  The blocks of one draw, and of the preparation pass that counts
+(log(u) / w order statistics, Efraimidis & Spirakis 2006): a row-wise
+partition of the keys gives every row's k_i-th largest key, and the row
+keeps the keys at or above it, read in column order.  Where keys tie at that
+threshold, the row keeps the first k_i columns of a stable descending key
+order over its positive weights.  That mode streams the similarity in row
+blocks of about ``_BLOCK_BYTES`` (``rows(r0, r1)`` of the factor form), so
+it never holds an N x N array; each row's keys and threshold are those of
+the whole matrix, so blocking leaves the edges as they are.  The blocks of one draw, and of the preparation pass that counts
 each row's mass and support, are spread over the usable CPUs, as many as
 a fixed budget for the blocks in flight allows: the caller's thread and
 threads made for that call alone pull whole blocks from one queue, and each
@@ -65,10 +67,11 @@ def _usable_cpus() -> int:
 # _WORKERS - 1 made for the call
 _WORKERS = _usable_cpus()
 # bytes of block-sized arrays that the threads of one call may hold at once.
-# A thread holds about four (its rows and uniform buffers, the key bits and
-# the partition output), so with full 512 KiB blocks a call runs on at most
-# four threads, and its peak stays that of a dense 1024 x 1024 S however many
-# CPUs there are.
+# A thread holds two (its key buffer, and a spare that holds the counter
+# bits, the rows and the partitioned copy in turn) plus two boolean masks of
+# an eighth of one each.  Counted as four per thread, that caps a call with
+# full 512 KiB blocks at four threads, so its peak stays that of a dense
+# 1024 x 1024 S however many CPUs there are.
 _INFLIGHT_BYTES = 1 << 23
 
 
@@ -278,43 +281,64 @@ class GoGSampler:
             np.divmod(pair[bounds[:-1]], n, out=(edges[:, 0], edges[:, 1]))
             np.subtract(bounds[1:], bounds[:-1], out=edges[:, 2])
         else:
-            # the kmax largest keys of every row, ordered by key; row i keeps
-            # the last k_effective[i] of them, i.e. its own top-k.  kmax is
-            # the same in every block, so a row's partition, and with it the
-            # choice among tied keys, does not depend on its block.
             keys = vector_keys(base, self._node_ids)
             ke = self.k_effective
             kmax = max(int(ke.max()), 1)
-            top = np.empty((n, kmax), dtype=np.int64)
+            # row i's threshold is its ke[i]-th largest key: entry kmax - ke[i]
+            # of its kmax largest keys in ascending order; a row with
+            # ke[i] = 0 gets +inf instead and keeps nothing
+            at = np.minimum(kmax - ke, kmax - 1)
+            keeps_none = ke == 0
+            ends = np.cumsum(ke)
+            edges = np.empty((int(ends[-1]), 3), dtype=np.int64)
 
             def draw(blocks):
-                # buffers are this call's own, so draws may run concurrently
-                w_buf = np.empty((_block_rows(n), n))
-                u_buf = np.empty_like(w_buf)
+                # this call's own buffers, so draws may run concurrently
+                key_buf = np.empty((_block_rows(n), n))
+                spare = np.empty_like(key_buf)
                 for r0, r1 in blocks:
-                    w = self.sim.rows(r0, r1, out=w_buf[: r1 - r0])
-                    u = key_uniforms(
-                        keys[r0:r1, None], self._node_ids[None, :],
-                        open_low=True, out=u_buf[: r1 - r0],
+                    key = key_uniforms(
+                        keys[r0:r1, None], self._node_ids[None, :], open_low=True,
+                        out=key_buf[: r1 - r0], scratch=spare[: r1 - r0],
                     )
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        perturbed = np.divide(np.log(u, out=u), w, out=u)
-                    perturbed[w == 0.0] = -np.inf
-                    # a copy, so the block-sized partition output is freed
-                    # before the next block allocates its own
-                    block = np.argpartition(perturbed, n - kmax, axis=1)[:, n - kmax :].copy()
-                    by_key = np.argsort(
-                        np.take_along_axis(perturbed, block, axis=1), axis=1
-                    )
-                    top[r0:r1] = np.take_along_axis(block, by_key, axis=1)
+                    w = self.sim.rows(r0, r1, out=spare[: r1 - r0])
+                    # a weight under about 1e-307 may overflow its key to
+                    # -inf, the key of a zero weight
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        np.divide(np.log(key, out=key), w, out=key)
+                    off_support = w <= 0.0
+                    key[off_support] = -np.inf
+                    # the thresholds, from a partition of a copy of the keys;
+                    # w is not read again (the factor form built it in spare)
+                    part = spare[: r1 - r0]
+                    np.copyto(part, key)
+                    part.partition(n - kmax, axis=1)
+                    tail = part[:, n - kmax :]
+                    tail.sort(axis=1)
+                    threshold = tail[np.arange(r1 - r0), at[r0:r1]]
+                    threshold[keeps_none[r0:r1]] = np.inf
+                    keep = key >= threshold[:, None]
+                    flat = np.flatnonzero(keep)
+                    lo, hi = ends[r0] - ke[r0], ends[r1 - 1]
+                    if flat.size != hi - lo:
+                        # a row whose keys tie at its threshold keeps more
+                        # than ke[i]; it keeps instead the first ke[i] of its
+                        # positive-weight columns in a stable descending key
+                        # order: every key above the threshold, then the
+                        # lowest-numbered columns at it
+                        extra = np.count_nonzero(keep, axis=1) != ke[r0:r1]
+                        for i in np.flatnonzero(extra):
+                            cols = np.flatnonzero(~off_support[i])
+                            by_key = cols[np.argsort(-key[i, cols], kind="stable")]
+                            keep[i] = False
+                            keep[i, by_key[: ke[r0 + i]]] = True
+                        flat = np.flatnonzero(keep)
+                    # row-major order: by row, then by column
+                    np.remainder(flat, n, out=edges[lo:hi, 1])
 
             _map_blocks(n, draw)
-            cols = np.arange(kmax)
-            top[cols < (kmax - ke)[:, None]] = n  # dropped; sorts past the kept
-            top.sort(axis=1)
-            dst = top[cols < ke[:, None]]
-            src = np.repeat(np.arange(n), ke)
-            edges = np.column_stack((src, dst, np.ones_like(src)))
+            edges[:, 0] = np.repeat(np.arange(n), ke)
+            edges[:, 2] = 1
         return GoGGraph(
             edges=edges, num_nodes=n, mode=self.config.mode, stream_key=base
         )

@@ -151,6 +151,21 @@ def test_chunked_product_is_byte_identical(graph, normalize, eps, d, chunk, seed
     assert np.allclose(got, oracle @ x, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 65535, 65536, 65537])
+def test_narrow_row_sort_gives_the_int64_order(n):
+    rng = np.random.default_rng(n)
+    src, dst = rng.integers(0, n, size=(2, 3 * n))
+    weight = rng.random(3 * n)
+    op = nn.SymmetricOperator(n, src, dst, weight, diagonal=2.0)
+    nodes = np.arange(n)
+    rows = np.concatenate((nodes, src, dst))
+    order = np.argsort(rows, kind="stable")
+    assert op.cols.tobytes() == np.concatenate((nodes, dst, src))[order].tobytes()
+    vals = np.concatenate((np.full(n, 2.0), weight, weight))[order]
+    assert op.vals.tobytes() == vals.tobytes()
+    assert op.starts.tobytes() == np.searchsorted(rows[order], nodes).tobytes()
+
+
 @pytest.mark.parametrize(
     "src, dst, message",
     [

@@ -44,6 +44,21 @@ def test_key_uniforms_broadcast_matches_per_key():
         assert np.array_equal(grid[i], row)
 
 
+@pytest.mark.parametrize("open_low", [False, True])
+@pytest.mark.parametrize("given", ["out", "scratch", "both"])
+def test_key_uniforms_into_caller_buffers_match_allocating_form(open_low, given):
+    keys = rng.vector_keys(rng.mix(11), np.arange(7, dtype=np.uint64))
+    counters = np.arange(300, dtype=np.uint64)
+    expected = rng.key_uniforms(keys[:, None], counters[None, :], open_low=open_low)
+    buffers = {name: np.full((7, 300), np.nan) for name in ("out", "scratch")}
+    if given != "both":
+        buffers = {given: buffers[given]}
+    got = rng.key_uniforms(keys[:, None], counters[None, :], open_low=open_low, **buffers)
+    assert got.tobytes() == expected.tobytes()
+    if "out" in buffers:
+        assert got is buffers["out"]
+
+
 @pytest.mark.parametrize(
     "as_input",
     [np.uint64, np.int64, lambda v: np.array(v, dtype=np.uint64)],

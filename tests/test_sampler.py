@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import logging
 import math
@@ -152,22 +153,21 @@ class TestSampleGoG:
         assert np.all(np.abs(emp - expected) <= 4.0 * se + 1e-12)
 
 
-def per_row_without_replacement(sim, k, seed, stream_id):
-    """Reference draw: each row's top-k perturbed keys, one row at a time."""
+def per_row_without_replacement(sim, k, seed, stream_id, uniforms=key_uniforms):
+    """Reference draw, one row at a time: row i orders its positive-weight
+    columns by descending key log(u) / w, ties by column (a stable sort), and
+    keeps the first min(k[i], support) of them."""
     s = sim.S
     n = len(s)
-    ke = np.minimum(k, (s > 0.0).sum(axis=1))
     keys = vector_keys(mix(seed, stream_id, 0x5A11), np.arange(n, dtype=np.uint64))
-    u = key_uniforms(keys[:, None], np.arange(n, dtype=np.uint64)[None, :], open_low=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        perturbed = np.log(u) / s
-    perturbed[s == 0.0] = -np.inf
+    u = uniforms(keys[:, None], np.arange(n, dtype=np.uint64)[None, :], open_low=True)
     rows = []
     for i in range(n):
-        if ke[i] == 0:
-            continue
-        top = np.sort(np.argpartition(perturbed[i], n - ke[i])[n - ke[i] :])
-        rows.extend((i, int(j), 1) for j in top)
+        support = np.flatnonzero(s[i] > 0.0)
+        with np.errstate(over="ignore"):  # a subnormal weight's key is -inf
+            key = np.log(u[i, support]) / s[i, support]
+        by_key = support[np.argsort(-key, kind="stable")]
+        rows.extend((i, int(j), 1) for j in np.sort(by_key[: k[i]]))
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
@@ -181,7 +181,12 @@ def few_rows(n, rows=3):
 @given(st.data())
 def test_without_replacement_matches_per_row_oracle(data):
     n = data.draw(st.integers(min_value=2, max_value=20))
-    weight = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0))
+    # weights of 1e-310 and 5e-324 overflow every key to -inf, so their
+    # columns tie with each other at the threshold
+    weight = st.one_of(
+        st.just(0.0), st.sampled_from([5e-324, 1e-310, 1e-300]),
+        st.floats(min_value=1e-3, max_value=1.0),
+    )
     s = np.triu(data.draw(arrays(np.float64, (n, n), elements=weight)), 1)
     s = s + s.T
     for i in np.nonzero(s.sum(axis=1) == 0.0)[0]:  # every row needs mass
@@ -215,6 +220,66 @@ def test_without_replacement_matches_per_row_oracle_on_long_rows():
     with few_rows(n, rows=7):
         blocked = sp.GoGSampler(sim, alloc, config).sample(2)
     assert np.array_equal(blocked.edges, expected)
+
+
+def constant_uniforms(keys, counters, *, open_low=False, out=None, scratch=None):
+    """Every uniform 0.5, so a row's keys tie wherever its weights do."""
+    if out is None:
+        return np.full(np.broadcast(keys, counters).shape, 0.5)
+    out[...] = 0.5
+    return out
+
+
+@pytest.mark.parametrize("blocks", ["default", "few rows"])
+def test_tied_keys_keep_the_lowest_columns_of_maximal_weight(blocks):
+    n = 40
+    rng = np.random.default_rng(50)
+    s = np.triu(rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, n)), 1)
+    s = s + s.T
+    sim = sim_from(s)
+    k = rng.integers(0, n, size=n)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=8)
+    # keys log(0.5) / w order the columns as their weights do
+    expected = []
+    for i in range(n):
+        by_weight = np.argsort(-s[i], kind="stable")[: (s[i] > 0.0).sum()]
+        expected.extend([i, int(j), 1] for j in np.sort(by_weight[: k[i]]))
+    blocking = few_rows(n) if blocks == "few rows" else contextlib.nullcontext()
+    with mock.patch.object(sp, "key_uniforms", constant_uniforms), blocking:
+        gog = sp.GoGSampler(sim, alloc, config).sample(0)
+    assert gog.edges.tolist() == expected
+    oracle = per_row_without_replacement(sim, k, 8, 0, uniforms=constant_uniforms)
+    assert np.array_equal(gog.edges, oracle)
+
+
+def test_subnormal_weight_is_drawn_before_zero_weights():
+    # log(u) / 1e-310 overflows to -inf, the key of a zero weight, yet only
+    # column 3 is in node 0's support
+    s = np.zeros((6, 6))
+    for (i, j), w in {(0, 3): 1e-310, (1, 2): 0.5, (3, 4): 0.5, (4, 5): 0.5,
+                      (1, 5): 0.3}.items():
+        s[i, j] = s[j, i] = w
+    sim = sim_from(s)
+    alloc = DegreeAllocation(k=np.ones(6, dtype=np.int64), total=6)
+    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=0)
+    sampler = sp.GoGSampler(sim, alloc, config)
+    for stream in range(200):
+        edges = sampler.sample(stream).edges
+        assert edges[0].tolist() == [0, 3, 1], stream
+        assert np.array_equal(edges, per_row_without_replacement(sim, alloc.k, 0, stream))
+
+
+def test_negative_weight_is_never_drawn():
+    # the dense form accepts entries down to -1e-12, where log(u) / w > 0
+    # would beat every positive weight's key
+    s = np.array([[0.0, -1e-13, 0.5], [-1e-13, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    alloc = DegreeAllocation(k=np.ones(3, dtype=np.int64), total=3)
+    sampler = sp.GoGSampler(
+        sim_from(s), alloc, sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=1)
+    )
+    for stream in range(20):
+        assert sampler.sample(stream).edges[:2, 1].tolist() == [2, 2]
 
 
 @settings(max_examples=150, deadline=None)
@@ -365,6 +430,22 @@ def test_without_replacement_holds_no_square_array():
     gog, peak = traced_draw(sim, alloc)
     assert np.array_equal(gog.out_degrees(), alloc.k)
     assert peak < n * n * 8 / 4  # a quarter of one N x N float64 array
+
+
+def test_draw_holds_two_block_buffers():
+    n = 200
+    sim, alloc = square_array_fixture(n)
+    sampler = sp.GoGSampler(
+        sim, alloc, sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=3)
+    )
+    tracemalloc.start()
+    try:
+        gog = sampler.sample(0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 8 * n * sp._block_rows(n)
+    assert peak < 3 * block + gog.edges.nbytes
 
 
 def test_many_cpus_keep_the_draw_small():
