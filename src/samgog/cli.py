@@ -30,7 +30,7 @@ from .data import (
     write_split,
 )
 from .degree_alloc import allocate_degrees, dump_allocation
-from .downstream import CurvePoint, PipelineResult, train_full_pipeline
+from .downstream import CurvePoint, MetricsReport, PipelineResult, train_full_pipeline
 from .encoder import encode_dataset, init_encoder_state
 from .rng import mix
 from .sampler import WITH_REPLACEMENT, GoGSampler, SamplerConfig, dump_gog, edge_homophily
@@ -44,13 +44,7 @@ from .similarity import (
 METRIC_COLUMNS = (
     "run",
     "seed",
-    "accuracy",
-    "balanced_accuracy",
-    "macro_f1",
-    "head_accuracy",
-    "tail_accuracy",
-    "edge_homophily_mean",
-    "edge_homophily_std",
+    *(f.name for f in fields(MetricsReport) if f.name != "per_class_accuracy"),
 )
 CURVE_COLUMNS = tuple(f.name for f in fields(CurvePoint))
 
@@ -198,10 +192,9 @@ def emit_homophily_sweep(
     enc_config = config.encoder_config()
     enc_state = init_encoder_state(dataset, enc_config, config.seed)
     _, logits = encode_dataset(dataset, enc_config, enc_state)
-    train_only = np.full(len(dataset), -1, dtype=np.int64)
-    train_list = list(split.train_idx)
-    train_only[train_list] = labels[train_list]
-    prob = build_prob_matrix(logits, train_only, train_only >= 0)
+    train_mask = np.zeros(len(dataset), dtype=bool)
+    train_mask[list(split.train_idx)] = True
+    prob = build_prob_matrix(logits, labels, train_mask)  # reads train labels only
     # the with-replacement sampler and the closed form both read the dense S:
     # build it once for the whole sweep
     sim = SimilarityMatrix(S=similarity_matrix(prob, zero_diagonal=True).S,
@@ -241,30 +234,35 @@ def emit_homophily_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="experiment config file")
-    parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--out", default="results", help="output directory")
-
-
 def _load(args) -> ExperimentConfig:
-    if not args.config:
-        raise ConfigError("--config is required for this subcommand")
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     return load_config(args.config, overrides)
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="samgog",
         description="Sampled graph-of-graphs learning benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_train = sub.add_parser("train", help="run seeded training repetitions")
-    _add_common(p_train)
+    p_sweep = sub.add_parser(
+        "sweep-homophily", help="edge homophily across target degrees"
+    )
+    p_theory = sub.add_parser("theory", help="run the formal-claim checks")
+    p_split = sub.add_parser("make-split", help="generate and write a split file")
+    p_inspect = sub.add_parser("inspect-dataset", help="print dataset statistics")
+
+    # each subcommand takes only the flags it reads
+    for p in (p_train, p_sweep, p_split, p_inspect):
+        p.add_argument("--config", required=True, help="experiment config file")
+    for p in (p_train, p_sweep, p_theory):
+        p.add_argument("--seed", type=int, help="override the master seed")
+    for p in (p_train, p_sweep, p_theory, p_split):
+        p.add_argument("--out", default="results", help="output directory")
+
     p_train.add_argument(
         "--dump-allocation", action="store_true",
         help="write the degree allocation audit file",
@@ -273,18 +271,10 @@ def main(argv=None) -> int:
         "--dump-gog", action="store_true",
         help="write the evaluation GoG edge lists of run 0",
     )
-
-    p_sweep = sub.add_parser(
-        "sweep-homophily", help="edge homophily across target degrees"
-    )
-    _add_common(p_sweep)
     p_sweep.add_argument(
         "--degrees", default="1,2,3,4,5,6,7,8,9,10",
         help="comma-separated target average degrees",
     )
-
-    p_theory = sub.add_parser("theory", help="run the formal-claim checks")
-    _add_common(p_theory)
     p_theory.add_argument("--ordering-trials", type=int, default=500)
     p_theory.add_argument("--unbiasedness-trials", type=int, default=10000)
     p_theory.add_argument("--monotonicity-trials", type=int, default=1000)
@@ -294,14 +284,11 @@ def main(argv=None) -> int:
         "--json", dest="json_path", default=None,
         help="write the JSON report here ('-' for stdout)",
     )
+    return parser
 
-    p_split = sub.add_parser("make-split", help="generate and write a split file")
-    _add_common(p_split)
 
-    p_inspect = sub.add_parser("inspect-dataset", help="print dataset statistics")
-    _add_common(p_inspect)
-
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "train":
             return run_experiment(
@@ -341,7 +328,7 @@ def main(argv=None) -> int:
             return 0 if report["all_passed"] else 1
 
         if args.command == "make-split":
-            config = _load(args)
+            config = load_config(args.config)
             dataset = load_dataset(config)
             split = resolve_split(config, dataset)
             os.makedirs(args.out, exist_ok=True)
@@ -351,7 +338,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "inspect-dataset":
-            config = _load(args)
+            config = load_config(args.config)
             dataset = load_dataset(config)
             sizes = dataset.sizes()
             stats = {

@@ -18,15 +18,6 @@ class ConfigError(Exception):
     """Configuration file or value problem, reported with the field path."""
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
 # config section -> (dataclass whose fields are its keys, fields left out)
 _SECTIONS = {
     "alloc": (AllocConfig, ()),
@@ -34,7 +25,8 @@ _SECTIONS = {
     "sampler": (SamplerConfig, ("seed",)),  # set per run
     "downstream": (GoGClassifierConfig, ()),
 }
-_TYPES = {kind.__name__: kind for kind in (bool, int, float, str)}
+# the parsed types; a section field of any other type is a KeyError at import
+_TYPES = {kind.__name__: kind for kind in (int, float, str)}
 
 
 def _section_schema(section: str) -> dict[str, tuple[type, object]]:
@@ -124,8 +116,6 @@ def _coerce(key: str, raw: str):
     kind, _ = _SCHEMA[key]
     raw = raw.strip()
     try:
-        if kind is bool:
-            return _parse_bool(raw, key)
         if kind is int:
             return int(raw)
         if kind is float:

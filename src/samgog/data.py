@@ -293,22 +293,23 @@ def parse_tudataset(
 
 
 def write_tudataset(dataset: GraphDataset, root_path: str, dataset_name: str) -> None:
-    """Emit the dataset in TUDataset text format (both edge directions)."""
+    """Emit the dataset in TUDataset text format (both edge directions).
+    Graphs are numbered by position in ``dataset.graphs``, not by ``id``."""
     os.makedirs(root_path, exist_ok=True)
     prefix = os.path.join(root_path, dataset_name)
     offsets = np.concatenate(([0], np.cumsum(dataset.sizes())))
 
     with open(f"{prefix}_A.txt", "w") as f:
-        for g in dataset.graphs:
-            base = offsets[g.id] + 1
+        for pos, g in enumerate(dataset.graphs):
+            base = offsets[pos] + 1
             for u, v in g.edges:
                 f.write(f"{base + u}, {base + v}\n")
                 if u != v:
                     f.write(f"{base + v}, {base + u}\n")
     with open(f"{prefix}_graph_indicator.txt", "w") as f:
-        for g in dataset.graphs:
+        for pos, g in enumerate(dataset.graphs):
             for _ in range(g.size):
-                f.write(f"{g.id + 1}\n")
+                f.write(f"{pos + 1}\n")
     with open(f"{prefix}_graph_labels.txt", "w") as f:
         for g in dataset.graphs:
             if g.label is None:

@@ -2,16 +2,22 @@
 
 Every node starts at k_min; the surplus above that floor is shared out in
 three stages: labeled vs unlabeled nodes at ratio rho1 per capita, majority
-vs minority classes inside the labeled set at total ratio rho2, and the
-unlabeled set in proportion to how many training graphs fall in each node's
-size window.  All real-valued shares become integers by largest-remainder
-rounding, ties broken by ascending index, so totals are conserved exactly.
+vs minority classes inside the labeled set, and the unlabeled set in
+proportion to how many training graphs fall in each node's size window.
+rho2 is the ratio of the two class groups' totals, not of their per-node
+shares; it is the only rho2 rule.  All real-valued shares become integers
+by largest-remainder rounding, ties broken by ascending index, so totals
+are conserved exactly.
+
+``AllocConfig`` takes integer degree bounds, so ``k_min <= d_bar <= k_max``
+alone keeps the budget round(N * d_bar) inside [N * k_min, N * k_max].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,9 +38,13 @@ class AllocConfig:
     rho1: float = 5.0
     rho2: float = 3.0
     window_r: int = 20
-    per_capita_class_split: bool = False  # interpret rho2 per node instead of per total
 
     def __post_init__(self):
+        if not (isinstance(self.k_min, Integral) and isinstance(self.k_max, Integral)):
+            raise InfeasibleAllocationError(
+                f"k_min and k_max must be integers, got "
+                f"k_min={self.k_min!r}, k_max={self.k_max!r}"
+            )
         if not (self.k_min <= self.d_bar <= self.k_max):
             raise InfeasibleAllocationError(
                 f"need k_min <= d_bar <= k_max, got "
@@ -123,7 +133,6 @@ def class_group_split(
     delta_labeled: int,
     class_counts: np.ndarray,
     rho2: float,
-    per_capita: bool = False,
 ) -> np.ndarray:
     """Per-class degree totals for the labeled surplus.
 
@@ -150,12 +159,7 @@ def class_group_split(
         out[present] = largest_remainder(shares, delta_labeled)
         return out
 
-    n_major = counts[major].sum()
-    n_minor = counts[minor].sum()
-    if per_capita:
-        major_total = delta_labeled * rho2 * n_major / (rho2 * n_major + n_minor)
-    else:
-        major_total = delta_labeled * rho2 / (1.0 + rho2)
+    major_total = delta_labeled * rho2 / (1.0 + rho2)
     group_totals = largest_remainder(
         np.array([major_total, delta_labeled - major_total]), delta_labeled
     )
@@ -194,10 +198,6 @@ def allocate_degrees(
     if n < 2:
         raise InfeasibleAllocationError("allocation needs at least 2 nodes")
     total = target_total_degree(n, config.d_bar)
-    if not (n * config.k_min <= total <= n * config.k_max):
-        raise InfeasibleAllocationError(
-            f"total degree {total} outside [{n * config.k_min}, {n * config.k_max}]"
-        )
 
     labeled = np.array(sorted(split.train_idx), dtype=np.int64)
     unlabeled = np.array(
@@ -222,9 +222,7 @@ def allocate_degrees(
         class_counts = np.bincount(
             labels[labeled], minlength=dataset.num_classes
         )
-        per_class = class_group_split(
-            delta_l, class_counts, config.rho2, per_capita=config.per_capita_class_split
-        )
+        per_class = class_group_split(delta_l, class_counts, config.rho2)
         for c in range(dataset.num_classes):
             members = labeled[labels[labeled] == c]
             if members.size == 0:
@@ -278,8 +276,6 @@ def greedy_allocation(prob: np.ndarray, config: AllocConfig) -> DegreeAllocation
     prob = np.asarray(prob, dtype=np.float64)
     n = prob.size
     total = target_total_degree(n, config.d_bar)
-    if not (n * config.k_min <= total <= n * config.k_max):
-        raise InfeasibleAllocationError("degree budget outside feasible range")
     k = np.full(n, config.k_min, dtype=np.int64)
     remaining = total - n * config.k_min
     order = np.lexsort((np.arange(n), -prob))
@@ -304,8 +300,6 @@ def oracle_optimal_allocation(
     if n > 12:
         raise InfeasibleAllocationError("brute-force oracle limited to N <= 12")
     total = target_total_degree(n, config.d_bar)
-    if not (n * config.k_min <= total <= n * config.k_max):
-        raise InfeasibleAllocationError("degree budget outside feasible range")
 
     best_obj = -np.inf
     best_k: np.ndarray | None = None

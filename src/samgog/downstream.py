@@ -305,17 +305,18 @@ def train_full_pipeline(
     if n_eval < 1:
         raise ValueError(f"eval_samples must be >= 1, got {eval_samples}")
 
+    # the losses read labels on train_list and P on train_mask only, so they
+    # see train labels alone even though observable also holds val labels
     observable = labels_with_test_masked(dataset, split)
-    train_only = np.full(len(dataset), -1, dtype=np.int64)
     train_list = list(split.train_idx)
-    train_only[train_list] = observable[train_list]
-    train_mask = train_only >= 0
+    train_mask = np.zeros(len(dataset), dtype=bool)
+    train_mask[train_list] = True
 
     allocation = allocate_degrees(split, dataset, alloc_config)
     op = build_operators(dataset, encoder_config)
 
     def sampler_for(logits):
-        prob = build_prob_matrix(logits, train_only, train_mask)
+        prob = build_prob_matrix(logits, observable, train_mask)
         sim = similarity_matrix(prob, zero_diagonal=True)
         return GoGSampler(sim, allocation, sampler_config)
 
@@ -340,7 +341,7 @@ def train_full_pipeline(
     for epoch in range(1, epochs + 1):
         with np.errstate(all="ignore"):
             enc_loss, enc_grad, h, logits = encoder_loss_and_grad(
-                dataset, encoder_config, enc_state, train_only, train_list,
+                dataset, encoder_config, enc_state, observable, train_list,
                 train=True, op=op,
             )
             if encoder_config.dropout > 0.0:
@@ -358,7 +359,7 @@ def train_full_pipeline(
             with np.errstate(all="ignore"):
                 loss_j, grad_j, _ = downstream_loss_and_grad(
                     prop, h, down_state, downstream_config,
-                    train_only, train_list, train=True,
+                    observable, train_list, train=True,
                 )
             _check_finite(f"downstream step at epoch {epoch}", loss_j, grad_j)
             grad_sum += grad_j

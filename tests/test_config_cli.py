@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from pathlib import Path
@@ -52,7 +53,6 @@ SCHEMA_TABLE = {
     "alloc.rho1": (float, 5.0),
     "alloc.rho2": (float, 3.0),
     "alloc.window_r": (int, 20),
-    "alloc.per_capita_class_split": (bool, False),
     "encoder.arch": (str, "gcn"),
     "encoder.num_layers": (int, 2),
     "encoder.hidden_dim": (int, 32),
@@ -125,12 +125,6 @@ class TestConfigParsing:
     def test_overrides_apply(self):
         cfg = config.parse_config_text(GOOD_CONFIG, overrides={"seed": 99})
         assert cfg.seed == 99
-
-    def test_bool_values(self):
-        cfg = config.parse_config_text(
-            GOOD_CONFIG + "\nalloc.per_capita_class_split = true\n"
-        )
-        assert cfg.alloc_config().per_capita_class_split is True
 
 
 class TestRunExperiment:
@@ -367,3 +361,58 @@ class TestOtherSubcommands:
         cfg2 = tmp_path / "exp2.cfg"
         cfg2.write_text(text)
         assert cli.main(["train", "--config", str(cfg2), "--out", out]) == 0
+
+
+# every flag of each subcommand, -h aside, so adding one is a change here
+SUBCOMMAND_FLAGS = {
+    "train": {"--config", "--seed", "--out", "--dump-allocation", "--dump-gog"},
+    "sweep-homophily": {"--config", "--seed", "--out", "--degrees"},
+    "theory": {
+        "--seed", "--out", "--ordering-trials", "--unbiasedness-trials",
+        "--monotonicity-trials", "--t-values", "--replicates", "--json",
+    },
+    "make-split": {"--config", "--out"},
+    "inspect-dataset": {"--config"},
+}
+
+
+def test_subcommand_flags_are_pinned():
+    (sub,) = (
+        a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {
+        name: {
+            flag for a in p._actions if not isinstance(a, argparse._HelpAction)
+            for flag in a.option_strings
+        }
+        for name, p in sub.choices.items()
+    }
+    assert flags == SUBCOMMAND_FLAGS
+
+
+# each command line is valid but for the flag, so only the flag can fail it
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["make-split", "--config", "{cfg}", "--out", "{out}", "--seed", "5"], "--seed"),
+        (["inspect-dataset", "--config", "{cfg}", "--seed", "3"], "--seed"),
+        (["inspect-dataset", "--config", "{cfg}", "--out", "d"], "--out"),
+        (["theory", "--out", "{out}", "--config", "c", "--ordering-trials", "20",
+          "--unbiasedness-trials", "300", "--monotonicity-trials", "30",
+          "--t-values", "1,2,4", "--replicates", "6"], "--config"),
+    ],
+)
+def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, argv, flag):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(GOOD_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(cfg=cfg_path, out=tmp_path / "out") for a in argv])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_missing_config_exits_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err

@@ -99,6 +99,22 @@ class TestParser:
             assert back.label == orig.label
             assert back.node_labels == orig.node_labels
 
+    def test_round_trip_numbers_graphs_by_position(self, tmp_path):
+        # ids need not be positions: (1, 0) here
+        graphs = (
+            data.InputGraph(id=1, edges=((0, 1), (1, 2)),
+                            node_features=np.zeros((3, 1)), label=1),
+            data.InputGraph(id=0, edges=((0, 1),),
+                            node_features=np.zeros((2, 1)), label=0),
+        )
+        ds = data.GraphDataset(graphs=graphs, num_classes=2,
+                               feature_scheme=data.DEGREE_ONEHOT, feature_dim=1)
+        data.write_tudataset(ds, str(tmp_path), "ID")
+        parsed = data.parse_tudataset(str(tmp_path), "ID")
+        assert [g.size for g in parsed.graphs] == [3, 2]
+        assert [g.label for g in parsed.graphs] == [1, 0]
+        assert [g.edges for g in parsed.graphs] == [((0, 1), (1, 2)), ((0, 1),)]
+
 
 def check_edges_one_by_one(graph_id, edges, n):
     """The per-edge check InputGraph ran on every input before its one-pass

@@ -76,11 +76,6 @@ class TestClassGroupSplit:
         assert out[1] == 0
         assert out.sum() == 20
 
-    def test_per_capita_variant(self):
-        # per-capita ratio 3 with counts (30, 10): major share 3*30/(3*30+10)
-        out = da.class_group_split(100, np.array([30, 10]), 3.0, per_capita=True)
-        assert out.tolist() == [90, 10]
-
 
 class TestSizeWindowWeights:
     def test_all_train_sizes_inside_window(self):
@@ -228,7 +223,7 @@ class TestAllocateDegrees:
             labels, sizes = ds.labels(), ds.sizes()
             per_class = da.class_group_split(
                 delta_l, np.bincount(labels[labeled], minlength=ds.num_classes),
-                config.rho2, per_capita=config.per_capita_class_split,
+                config.rho2,
             )
             for c in range(ds.num_classes):
                 members = labeled[labels[labeled] == c]
@@ -257,12 +252,11 @@ class TestAllocateDegrees:
         cap=st.floats(min_value=0.0, max_value=1.0),
         rho1=st.floats(min_value=1.0, max_value=9.0),
         rho2=st.floats(min_value=1.0, max_value=9.0),
-        per_capita=st.booleans(),
         seed=st.integers(0, 10**6),
     )
     @settings(max_examples=150, deadline=None)
     def test_clamp_matches_fixpoint_oracle(
-        self, n, d_extra, k_min, cap, rho1, rho2, per_capita, seed
+        self, n, d_extra, k_min, cap, rho1, rho2, seed
     ):
         rng = np.random.default_rng(seed)
         sizes = [int(s) for s in rng.integers(3, 40, size=n)]
@@ -274,7 +268,7 @@ class TestAllocateDegrees:
         d_bar = k_min + d_extra
         unclamped = da.AllocConfig(
             d_bar=d_bar, k_min=k_min, k_max=10**9, rho1=rho1, rho2=rho2,
-            window_r=int(rng.integers(0, 10)), per_capita_class_split=per_capita,
+            window_r=int(rng.integers(0, 10)),
         )
         top = int(da.allocate_degrees(split, ds, unclamped).k.max())
         lowest = math.ceil(d_bar)
@@ -368,6 +362,33 @@ class TestOracleAllocator:
 def test_allocation_rejects_bad_k_by_name(k, match):
     with pytest.raises(da.InfeasibleAllocationError, match=match):
         da.DegreeAllocation(k=k, total=3)
+
+
+@pytest.mark.parametrize(
+    "bounds", [dict(k_min=2.5), dict(k_max=7.5), dict(d_bar=5.9, k_max=5.9)]
+)
+def test_alloc_config_rejects_non_integer_bounds(bounds):
+    with pytest.raises(da.InfeasibleAllocationError, match="k_min.*k_max"):
+        da.AllocConfig(**{"d_bar": 5.0, "k_min": 3, "k_max": 100, **bounds})
+
+
+def test_alloc_config_accepts_numpy_integer_bounds():
+    config = da.AllocConfig(d_bar=5.0, k_min=np.int64(3), k_max=np.int64(8))
+    assert (config.k_min, config.k_max) == (3, 8)
+
+
+@given(
+    k_min=st.integers(0, 10**9),
+    width=st.integers(0, 10**9),
+    n=st.integers(0, 10**4),
+    choice=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_bounds_keep_the_budget_feasible(k_min, width, n, choice):
+    # the allocators rely on AllocConfig's k_min <= d_bar <= k_max alone
+    k_max = k_min + width
+    d_bar = choice.draw(st.floats(min_value=k_min, max_value=k_max))
+    assert n * k_min <= da.target_total_degree(n, d_bar) <= n * k_max
 
 
 def test_dump_allocation(tmp_path):
