@@ -105,8 +105,6 @@ def _run_one(config: ExperimentConfig, dataset, split, run_index: int) -> Pipeli
         seed=run_seed,
         encoder_lr=config.values["encoder.lr"],
         downstream_lr=config.values["downstream.lr"],
-        optimizer=config.values["optimizer"],
-        lr_schedule=config.values["lr_schedule"],
         eval_samples=eval_samples,
     )
 

@@ -64,8 +64,6 @@ _SCHEMA: dict[str, tuple[type, object]] = {
     **_section_schema("sampler"),
     **_section_schema("downstream"),
     "downstream.lr": (float, 0.01),
-    "optimizer": (str, "adam"),
-    "lr_schedule": (str, "constant"),
     "eval_samples": (int, 0),  # 0 means "same as samples_per_epoch"
     "epochs": (int, 100),
     "runs": (int, 1),

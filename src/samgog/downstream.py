@@ -11,6 +11,7 @@ is a constant input to the downstream model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,23 +191,21 @@ def compute_metrics(
     c = int(num_classes if num_classes is not None else max(pred.max(), true.max()) + 1)
 
     accuracy = float((pred == true).mean())
-    recalls = []
-    f1s = []
-    for cls in range(c):
-        actual = true == cls
-        predicted = pred == cls
-        tp = float((actual & predicted).sum())
-        if actual.sum() > 0:
-            recalls.append(tp / actual.sum())
-        else:
-            recalls.append(float("nan"))
-        precision = tp / predicted.sum() if predicted.sum() else 0.0
-        recall = tp / actual.sum() if actual.sum() else 0.0
-        f1s.append(
-            0.0
-            if precision + recall == 0.0
-            else 2.0 * precision * recall / (precision + recall)
-        )
+    # confusion[t, p] counts graphs of class t predicted as p; index c holds
+    # labels outside [0, c), such as an unlabeled graph's -1: they count
+    # against accuracy but belong to no class
+    t_idx, p_idx = (np.where((x >= 0) & (x < c), x, c) for x in (true, pred))
+    confusion = np.bincount(t_idx * (c + 1) + p_idx, minlength=(c + 1) ** 2)
+    confusion = confusion.reshape(c + 1, c + 1)
+    tp = np.diag(confusion)[:c].astype(np.float64)
+    actual, predicted = confusion[:c].sum(axis=1), confusion[:, :c].sum(axis=0)
+    # recall is nan for a class with no graphs, precision 0 for a class never
+    # predicted, and F1 0 for a class with no true positive
+    recalls = np.divide(tp, actual, out=np.full(c, np.nan), where=actual > 0)
+    precision = np.divide(tp, predicted, out=np.zeros(c), where=predicted > 0)
+    f1s = np.divide(
+        2.0 * precision * recalls, precision + recalls, out=np.zeros(c), where=tp > 0
+    )
     balanced = float(np.nanmean(recalls))
     macro_f1 = float(np.mean(f1s))
 
@@ -222,7 +221,7 @@ def compute_metrics(
         accuracy=accuracy,
         balanced_accuracy=balanced,
         macro_f1=macro_f1,
-        per_class_accuracy=tuple(recalls),
+        per_class_accuracy=tuple(recalls.tolist()),
         head_accuracy=subset_accuracy(head_idx),
         tail_accuracy=subset_accuracy(tail_idx),
         edge_homophily_mean=edge_homophily_mean,
@@ -258,16 +257,60 @@ def _mean_eval_logits(sampler, h, state, config, stream_base, count):
 def _observable_homophily(gog: GoGGraph, observable_labels: np.ndarray) -> float:
     """Edge homophily restricted to edges whose both endpoints carry an
     observable label; nan when no such edge exists."""
-    if gog.edges.size == 0:
+    src = observable_labels[gog.edges[:, 0]]
+    dst = observable_labels[gog.edges[:, 1]]
+    mult = gog.edges[:, 2]
+    observed = (src >= 0) & (dst >= 0)
+    total = mult.dot(observed)
+    if total == 0:
         return float("nan")
-    lab = observable_labels
-    src, dst = gog.edges[:, 0], gog.edges[:, 1]
-    keep = (lab[src] >= 0) & (lab[dst] >= 0)
-    if not np.any(keep):
-        return float("nan")
-    mult = gog.edges[keep, 2]
-    same = lab[src[keep]] == lab[dst[keep]]
-    return float(mult[same].sum() / mult.sum())
+    return float(mult.dot(observed & (src == dst)) / total)
+
+
+def _set_up(dataset: GraphDataset, split: SplitSpec):
+    """The checks both trainers run before training, in order, and what they
+    read: the labels with the test graphs' masked, and the train, val and
+    test index lists."""
+    split.validate(dataset)
+    if len(split.train_idx) == 0:
+        raise TrainingError("training requires a non-empty labeled train set")
+    if len(split.test_idx) == 0:
+        raise TrainingError("pipeline evaluation requires a non-empty test set")
+    # training reads these labels on the train graphs only (the losses on the
+    # train list, P on the train mask), though they also hold val labels
+    observable = labels_with_test_masked(dataset, split)
+    return observable, list(split.train_idx), list(split.val_idx), list(split.test_idx)
+
+
+def _val_score(logits, observable, val_list) -> float:
+    """Balanced accuracy of ``logits`` (one column per class) on the
+    validation graphs."""
+    return compute_metrics(
+        logits[val_list].argmax(axis=1), observable[val_list],
+        num_classes=logits.shape[1],
+    ).balanced_accuracy
+
+
+def _test_report(dataset, test_list, logits, homophilies=()) -> MetricsReport:
+    """The ``MetricsReport`` of ``logits`` on the test graphs: head and tail
+    accuracy over ``head_tail_partition``'s test graphs (nan under 5 graphs),
+    and the mean and spread of ``homophilies`` (nan when there are none)."""
+    head, tail = (None, None)
+    if len(dataset) >= 5:
+        head_all, tail_all = head_tail_partition(dataset)
+        test_pos = {g: p for p, g in enumerate(test_list)}
+        head = [test_pos[g] for g in head_all if g in test_pos]
+        tail = [test_pos[g] for g in tail_all if g in test_pos]
+    nan = float("nan")
+    return compute_metrics(
+        logits[test_list].argmax(axis=1),
+        dataset.labels()[test_list],
+        head_idx=head,
+        tail_idx=tail,
+        num_classes=dataset.num_classes,
+        edge_homophily_mean=float(np.mean(homophilies)) if homophilies else nan,
+        edge_homophily_std=float(np.std(homophilies)) if homophilies else nan,
+    )
 
 
 def train_full_pipeline(
@@ -281,8 +324,6 @@ def train_full_pipeline(
     seed: int,
     encoder_lr: float = 0.01,
     downstream_lr: float = 0.01,
-    optimizer: str = "adam",
-    lr_schedule: str = "constant",
     eval_samples: int | None = None,
 ) -> PipelineResult:
     """Train encoder and GoG classifier per the sampled-GoG recipe and
@@ -295,20 +336,12 @@ def train_full_pipeline(
     accuracy, i.e. the encoder whose embeddings were scored; test metrics
     come from mean logits over fresh GoGs sampled at evaluation time.
     """
-    split.validate(dataset)
-    if len(split.train_idx) == 0:
-        raise TrainingError("training requires a non-empty labeled train set")
-    if len(split.test_idx) == 0:
-        raise TrainingError("pipeline evaluation requires a non-empty test set")
+    observable, train_list, val_list, test_list = _set_up(dataset, split)
     t = sampler_config.samples_per_epoch
     n_eval = eval_samples if eval_samples is not None else t
     if n_eval < 1:
         raise ValueError(f"eval_samples must be >= 1, got {eval_samples}")
 
-    # the losses read labels on train_list and P on train_mask only, so they
-    # see train labels alone even though observable also holds val labels
-    observable = labels_with_test_masked(dataset, split)
-    train_list = list(split.train_idx)
     train_mask = np.zeros(len(dataset), dtype=bool)
     train_mask[train_list] = True
 
@@ -321,15 +354,12 @@ def train_full_pipeline(
         return GoGSampler(sim, allocation, sampler_config)
 
     enc_state = init_encoder_state(
-        dataset, encoder_config, seed,
-        optimizer=optimizer, learning_rate=encoder_lr, schedule=lr_schedule,
+        dataset, encoder_config, seed, learning_rate=encoder_lr
     )
     down_state = init_downstream_state(
         encoder_config.hidden_dim, dataset.num_classes, downstream_config,
-        seed, optimizer=optimizer, learning_rate=downstream_lr,
-        schedule=lr_schedule,
+        seed, learning_rate=downstream_lr,
     )
-    val_list = list(split.val_idx)
     best = {
         "score": -np.inf,
         "epoch": 0,
@@ -375,10 +405,7 @@ def train_full_pipeline(
                     _EVAL_STREAM_BASE + epoch * n_eval, n_eval,
                 )
             _check_finite(f"validation forward at epoch {epoch}", val_logits)
-            val_score = compute_metrics(
-                val_logits[val_list].argmax(axis=1), observable[val_list],
-                num_classes=dataset.num_classes,
-            ).balanced_accuracy
+            val_score = _val_score(val_logits, observable, val_list)
         else:
             val_score = float("nan")
         if not val_list or val_score >= best["score"]:
@@ -395,8 +422,10 @@ def train_full_pipeline(
                 encoder_loss=enc_loss,
                 downstream_loss=down_loss,
                 val_balanced_accuracy=val_score,
+                # nan, without nanmean's warning, when no GoG had an edge
+                # between observable labels
                 mean_edge_homophily=float(np.nanmean(homo_vals))
-                if homo_vals
+                if not all(map(math.isnan, homo_vals))
                 else float("nan"),
             )
         )
@@ -416,28 +445,10 @@ def train_full_pipeline(
     _check_finite(final, test_logits)
 
     labels_true = dataset.labels()
-    test_list = list(split.test_idx)
-    predictions = test_logits[test_list].argmax(axis=1)
-
-    head, tail = (None, None)
-    if len(dataset) >= 5:
-        head_all, tail_all = head_tail_partition(dataset)
-        test_pos = {g: p for p, g in enumerate(test_list)}
-        head = [test_pos[g] for g in head_all if g in test_pos]
-        tail = [test_pos[g] for g in tail_all if g in test_pos]
-
     homos = [edge_homophily(g, labels_true) for g in eval_gogs if g.edges.size]
-    metrics = compute_metrics(
-        predictions,
-        labels_true[test_list],
-        head_idx=head,
-        tail_idx=tail,
-        num_classes=dataset.num_classes,
-        edge_homophily_mean=float(np.mean(homos)) if homos else float("nan"),
-        edge_homophily_std=float(np.std(homos)) if homos else float("nan"),
-    )
     return PipelineResult(
-        encoder=enc_state, downstream=down_state, metrics=metrics,
+        encoder=enc_state, downstream=down_state,
+        metrics=_test_report(dataset, test_list, test_logits, homos),
         curve=tuple(curve), final_gogs=tuple(eval_gogs),
     )
 
@@ -451,13 +462,15 @@ def train_encoder_baseline(
     learning_rate: float = 0.01,
 ) -> MetricsReport:
     """Encoder-only reference: classify straight from the encoder head with
-    no graph-of-graphs stage, same selection rule as the full pipeline."""
-    split.validate(dataset)
-    if len(split.test_idx) == 0:
-        raise TrainingError("pipeline evaluation requires a non-empty test set")
-    observable = labels_with_test_masked(dataset, split)
-    train_list = list(split.train_idx)
-    val_list = list(split.val_idx)
+    no graph-of-graphs stage.
+
+    It shares with ``train_full_pipeline`` the set-up checks, the encoder's
+    initialization and its Adam at a constant rate, the selection rule (the
+    parameters with the best validation balanced accuracy, the later epoch
+    on ties, the last epoch without a validation set) and the test report,
+    head and tail accuracy included; it reports no edge homophily.
+    """
+    observable, train_list, val_list, test_list = _set_up(dataset, split)
     op = build_operators(dataset, encoder_config)
     enc_state = init_encoder_state(
         dataset, encoder_config, seed, learning_rate=learning_rate
@@ -476,10 +489,7 @@ def train_encoder_baseline(
             with np.errstate(all="ignore"):
                 _, logits = encode_dataset(dataset, encoder_config, enc_state, op=op)
             _check_finite(f"validation forward at epoch {epoch}", logits)
-            score = compute_metrics(
-                logits[val_list].argmax(axis=1), observable[val_list],
-                num_classes=dataset.num_classes,
-            ).balanced_accuracy
+            score = _val_score(logits, observable, val_list)
             if score >= best_score:
                 best_score = score
                 best_params = enc_state.params.copy()
@@ -490,9 +500,4 @@ def train_encoder_baseline(
     with np.errstate(all="ignore"):
         _, logits = encode_dataset(dataset, encoder_config, enc_state, op=op)
     _check_finite("final evaluation", logits)
-    labels_true = dataset.labels()
-    test_list = list(split.test_idx)
-    predictions = logits[test_list].argmax(axis=1)
-    return compute_metrics(
-        predictions, labels_true[test_list], num_classes=dataset.num_classes
-    )
+    return _test_report(dataset, test_list, logits)

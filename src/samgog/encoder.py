@@ -80,17 +80,13 @@ def init_encoder_state(
     dataset: GraphDataset,
     config: EncoderConfig,
     seed: int,
-    optimizer: str = "adam",
     learning_rate: float = 0.01,
-    schedule: str = "constant",
 ) -> ModelState:
+    """Glorot-initialized encoder parameters under Adam at a constant rate."""
     spec = table_param_spec(
         _layer_table(config, dataset.num_classes), dataset.feature_dim
     )
-    return init_model_state(
-        spec, (seed, 0xE7C), optimizer=optimizer,
-        learning_rate=learning_rate, schedule=schedule,
-    )
+    return init_model_state(spec, (seed, 0xE7C), learning_rate=learning_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -121,12 +121,25 @@ def cross_entropy_and_dlogits(
 _CHUNK_ENTRIES = 1 << 13
 
 
+def _node_ids(values) -> np.ndarray:
+    """Edge endpoints as int64 node ids; one that is not a whole number is an
+    error, not truncated."""
+    ids = np.asarray(values)
+    whole = ids.dtype.kind in "iu" or np.isfinite(ids) & (np.round(ids) == ids)
+    if not np.all(whole):
+        bad = ids.flat[np.argmin(whole)]
+        raise ValueError(f"edge endpoint {bad} is not an integer node id")
+    return ids.astype(np.int64, copy=False)
+
+
 class SymmetricOperator:
     """Sparse symmetric operator ``A + c I`` over ``n`` nodes in CSR form.
 
     ``A`` holds every weighted edge ``(src, dst, weight)`` in both
     directions; repeated pairs add.  With ``normalize`` the operator is
-    ``D^{-1/2} (A + c I) D^{-1/2}``, ``D`` its row sums.  Every row stores its
+    ``D^{-1/2} (A + c I) D^{-1/2}``, ``D`` its row sums, each of which must
+    be positive.  Endpoints must be whole numbers in ``[0, n)``, and weights
+    and ``c`` finite; anything else is a ``ValueError``.  Every row stores its
     diagonal entry, so no row segment is empty; the operator is its own
     transpose.  The entries are put in row order by a stable sort of the
     row ids cast to the narrowest integer type that holds ``n - 1``: a
@@ -141,8 +154,7 @@ class SymmetricOperator:
 
     def __init__(self, n: int, src, dst, weight, diagonal: float = 1.0,
                  normalize: bool = False):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src, dst = _node_ids(src), _node_ids(dst)
         if src.shape != dst.shape:
             raise ValueError(f"{src.size} edge sources but {dst.size} destinations")
         if src.size and not (0 <= min(src.min(), dst.min())
@@ -151,7 +163,13 @@ class SymmetricOperator:
             raise ValueError(
                 f"edge ({src[i]}, {dst[i]}) has an endpoint outside [0, {n})"
             )
-        weight = np.broadcast_to(np.asarray(weight, dtype=np.float64), src.shape)
+        weight = np.asarray(weight, dtype=np.float64)
+        for name, value in (("edge weight", weight), ("diagonal", diagonal)):
+            finite = np.isfinite(value)
+            if not np.all(finite):
+                bad = np.asarray(value).flat[np.argmin(finite)]
+                raise ValueError(f"{name} {bad} is not finite")
+        weight = np.broadcast_to(weight, src.shape)
         nodes = np.arange(n)
         rows = np.concatenate((nodes, src, dst))
         # a stable sort's permutation is unique, so the narrow ids (radix-
@@ -161,7 +179,11 @@ class SymmetricOperator:
         self.cols = np.concatenate((nodes, dst, src))[order]
         vals = np.concatenate((np.full(n, float(diagonal)), weight, weight))[order]
         if normalize:
-            inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, vals, minlength=n))
+            degree = np.bincount(rows, vals, minlength=n)
+            if not (degree > 0.0).all():
+                row = int(np.argmin(degree > 0.0))
+                raise ValueError(f"row {row} has degree {degree[row]}, not > 0")
+            inv_sqrt = 1.0 / np.sqrt(degree)
             vals = vals * inv_sqrt[rows] * inv_sqrt[self.cols]
         self.vals = vals
         self.starts = np.searchsorted(rows, nodes)

@@ -203,6 +203,8 @@ class GoGSampler:
         if not sim.diagonal_zeroed:
             raise ValueError("sampler requires a diagonal-zeroed similarity matrix")
         n = sim.num_nodes
+        if n == 0:
+            raise ValueError("cannot sample a GoG from an empty similarity (0 nodes)")
         if allocation.k.shape != (n,):
             raise ValueError("allocation length does not match similarity matrix")
         if config.mode == WITH_REPLACEMENT:

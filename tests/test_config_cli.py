@@ -66,8 +66,6 @@ SCHEMA_TABLE = {
     "downstream.hidden_dim": (int, 64),
     "downstream.dropout": (float, 0.0),
     "downstream.lr": (float, 0.01),
-    "optimizer": (str, "adam"),
-    "lr_schedule": (str, "constant"),
     "eval_samples": (int, 0),
     "epochs": (int, 100),
     "runs": (int, 1),

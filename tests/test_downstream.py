@@ -1,13 +1,15 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from samgog import data, nn
 from samgog import downstream as ds_mod
 from samgog.degree_alloc import AllocConfig, allocate_degrees
-from samgog.encoder import EncoderConfig, encode_dataset
+from samgog.encoder import EncoderConfig, encode_dataset, init_encoder_state
 from samgog.rng import generator
 from samgog.sampler import GoGGraph, GoGSampler, SamplerConfig, WITHOUT_REPLACEMENT
 from samgog.similarity import build_prob_matrix, similarity_matrix
@@ -203,6 +205,83 @@ class TestComputeMetrics:
             ds_mod.compute_metrics(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 
 
+def per_class_loop_metrics(
+    predictions, true_labels, head_idx=None, tail_idx=None, num_classes=None
+):
+    """compute_metrics as one Python pass per class: the oracle for its
+    confusion-matrix form."""
+    pred = np.asarray(predictions, dtype=np.int64)
+    true = np.asarray(true_labels, dtype=np.int64)
+    c = int(num_classes if num_classes is not None else max(pred.max(), true.max()) + 1)
+    recalls = []
+    f1s = []
+    for cls in range(c):
+        actual = true == cls
+        predicted = pred == cls
+        tp = float((actual & predicted).sum())
+        if actual.sum() > 0:
+            recalls.append(tp / actual.sum())
+        else:
+            recalls.append(float("nan"))
+        precision = tp / predicted.sum() if predicted.sum() else 0.0
+        recall = tp / actual.sum() if actual.sum() else 0.0
+        f1s.append(
+            0.0
+            if precision + recall == 0.0
+            else 2.0 * precision * recall / (precision + recall)
+        )
+
+    def subset_accuracy(idx):
+        if idx is None or len(idx) == 0:
+            return float("nan")
+        idx = np.asarray(idx, dtype=np.int64)
+        return float((pred[idx] == true[idx]).mean())
+
+    return ds_mod.MetricsReport(
+        accuracy=float((pred == true).mean()),
+        balanced_accuracy=float(np.nanmean(recalls)),
+        macro_f1=float(np.mean(f1s)),
+        per_class_accuracy=tuple(recalls),
+        head_accuracy=subset_accuracy(head_idx),
+        tail_accuracy=subset_accuracy(tail_idx),
+        edge_homophily_mean=float("nan"),
+        edge_homophily_std=float("nan"),
+    )
+
+
+@st.composite
+def scored_predictions(draw):
+    """Predictions in [0, c), labels in [-1, c) (-1: an unlabeled graph),
+    some classes absent, optional head/tail position lists and class count."""
+    c = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    present = draw(st.lists(st.integers(0, c - 1), min_size=1, unique=True))
+    true = draw(st.lists(st.sampled_from([-1, *present]), min_size=n, max_size=n))
+    if all(t < 0 for t in true):
+        true[0] = present[0]  # a class-less label set has no balanced accuracy
+    pred = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    positions = st.none() | st.lists(st.integers(0, n - 1), max_size=n)
+    num_classes = draw(st.sampled_from([None, c]))
+    return pred, true, draw(positions), draw(positions), num_classes
+
+
+@given(scored_predictions())
+@settings(max_examples=300, deadline=None)
+def test_confusion_matrix_metrics_match_the_per_class_loop(case):
+    pred, true, head, tail, num_classes = case
+    got = ds_mod.compute_metrics(
+        np.array(pred), np.array(true), head_idx=head, tail_idx=tail,
+        num_classes=num_classes,
+    )
+    want = per_class_loop_metrics(pred, true, head, tail, num_classes)
+    assert all(isinstance(x, float) for x in got.per_class_accuracy)
+    for field in dataclasses.fields(ds_mod.MetricsReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        # the same bits; nan compares as nan
+        assert np.array(a, dtype=np.float64).tobytes() == \
+            np.array(b, dtype=np.float64).tobytes(), field.name
+
+
 def pipeline_configs(hidden=6):
     return dict(
         alloc_config=AllocConfig(d_bar=4, k_min=2, k_max=20),
@@ -310,6 +389,21 @@ class TestFullPipeline:
                 ds, split, epochs=epochs, seed=16, **rates, **pipeline_configs()
             )
 
+    @pytest.mark.filterwarnings("error")
+    def test_epoch_with_no_observable_edge_records_nan_homophily(self):
+        # two labeled graphs among twelve, one neighbour each: neither
+        # epoch's draw joins them, so no edge has two observable labels
+        ds = data.make_planted_dataset(
+            num_graphs=12, seed=1, noise=0.5, min_nodes=3, max_nodes=4
+        )
+        split = data.SplitSpec((0, 1), (), tuple(range(2, 12)))
+        res = ds_mod.train_full_pipeline(
+            ds, split, AllocConfig(d_bar=1, k_min=1, k_max=1),
+            EncoderConfig(hidden_dim=4), SamplerConfig(seed=0, samples_per_epoch=1),
+            ds_mod.GoGClassifierConfig(hidden_dim=4), epochs=2, seed=3,
+        )
+        assert [math.isnan(p.mean_edge_homophily) for p in res.curve] == [True, True]
+
     def test_zero_eval_samples_rejected_by_name(self):
         ds = data.make_planted_dataset(num_graphs=20, seed=14, noise=0.5)
         split = data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.25, seed=15)
@@ -400,6 +494,37 @@ def test_encoder_baseline_rejects_empty_test_set(monkeypatch):
         nn.TrainingError, match="pipeline evaluation requires a non-empty test set"
     ):
         ds_mod.train_encoder_baseline(ds, split, EncoderConfig(), epochs=40, seed=16)
+
+
+def test_encoder_baseline_reports_head_and_tail_accuracy():
+    # at zero epochs the baseline scores the initial encoder, whose test
+    # predictions are counted here by hand
+    ds = data.make_planted_dataset(
+        num_graphs=40, seed=17, noise=1.0, min_nodes=4, max_nodes=16
+    )
+    split = data.make_class_imbalanced_split(ds, 1.0, 0.5, 0.25, seed=18)
+    config = EncoderConfig(hidden_dim=6)
+    report = ds_mod.train_encoder_baseline(ds, split, config, epochs=0, seed=19)
+
+    _, logits = encode_dataset(ds, config, init_encoder_state(ds, config, 19))
+    correct = logits.argmax(axis=1) == ds.labels()
+    head, tail = data.head_tail_partition(ds)
+    test = set(split.test_idx)
+    head_test = [g for g in head if g in test]
+    tail_test = [g for g in tail if g in test]
+    assert head_test and tail_test
+    assert report.head_accuracy == sum(correct[head_test]) / len(head_test)
+    assert report.tail_accuracy == sum(correct[tail_test]) / len(tail_test)
+    assert math.isnan(report.edge_homophily_mean)
+
+
+def test_encoder_baseline_rejects_empty_train_set():
+    ds = data.make_planted_dataset(num_graphs=20, seed=14, noise=0.5)
+    split = data.SplitSpec((), (), tuple(range(20)))
+    with pytest.raises(
+        nn.TrainingError, match="training requires a non-empty labeled train set"
+    ):
+        ds_mod.train_encoder_baseline(ds, split, EncoderConfig(), epochs=0, seed=16)
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,9 +1,10 @@
 """Each module imports on its own in a fresh interpreter, so an import cycle
 between two modules fails here whichever of them a caller imports first; and
-the package's top-level names are pinned, so adding or dropping an export is
-a deliberate change to this file."""
+the package's top-level names and the trainers' parameters are pinned, so
+adding or dropping an export or a knob is a deliberate change to this file."""
 
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -51,3 +52,32 @@ def test_package_exports_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == EXPORTS
+
+
+# every parameter of the trainers and of the model-state initializers, in order
+TRAINER_PARAMETERS = {
+    ("samgog.downstream", "train_full_pipeline"): (
+        "dataset", "split", "alloc_config", "encoder_config", "sampler_config",
+        "downstream_config", "epochs", "seed", "encoder_lr", "downstream_lr",
+        "eval_samples",
+    ),
+    ("samgog.downstream", "train_encoder_baseline"): (
+        "dataset", "split", "encoder_config", "epochs", "seed", "learning_rate",
+    ),
+    ("samgog.encoder", "init_encoder_state"): (
+        "dataset", "config", "seed", "learning_rate",
+    ),
+    # theory's variance check trains the downstream model with SGD at an
+    # inverse rate
+    ("samgog.downstream", "init_downstream_state"): (
+        "in_dim", "num_classes", "config", "seed", "optimizer", "learning_rate",
+        "schedule",
+    ),
+}
+
+
+@pytest.mark.parametrize("module, name", sorted(TRAINER_PARAMETERS))
+def test_trainer_parameters_are_pinned(module, name):
+    function = getattr(importlib.import_module(module), name)
+    params = tuple(inspect.signature(function).parameters)
+    assert params == TRAINER_PARAMETERS[module, name]

@@ -179,6 +179,24 @@ def test_symmetric_operator_rejects_bad_edges(src, dst, message):
         nn.SymmetricOperator(3, src, dst, 1.0)
 
 
+@pytest.mark.parametrize(
+    "src, weight, diagonal, normalize, message",
+    [
+        ([0.5], 1.0, 1.0, False, "edge endpoint 0.5 is not an integer node id"),
+        ([0], np.nan, 1.0, True, "edge weight nan is not finite"),
+        ([0], 1.0, np.inf, False, "diagonal inf is not finite"),
+        ([0], -5.0, 1.0, True, r"row 0 has degree -4\.0, not > 0"),
+        ([], 1.0, -1.0, True, r"row 0 has degree -1\.0, not > 0"),
+    ],
+)
+def test_symmetric_operator_rejects_bad_weighting(
+    src, weight, diagonal, normalize, message
+):
+    dst = [1] * len(src)
+    with pytest.raises(ValueError, match=message):
+        nn.SymmetricOperator(2, src, dst, weight, diagonal=diagonal, normalize=normalize)
+
+
 def test_symmetric_operator_rejects_wrong_shape():
     op = nn.SymmetricOperator(3, [0, 1], [1, 2], 1.0)
     for x in (np.ones((5, 2)), np.ones((2, 2)), np.ones(3), np.ones((3, 2, 1))):

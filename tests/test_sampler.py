@@ -20,6 +20,7 @@ from samgog.degree_alloc import DegreeAllocation
 from samgog.rng import generator, key_uniforms, mix, vector_keys
 from samgog.similarity import (
     DegenerateRowError,
+    FactorSimilarity,
     SimilarityMatrix,
     build_prob_matrix,
     similarity_matrix,
@@ -400,6 +401,14 @@ def test_all_zero_allocation_gives_no_edges(mode):
     gog = sp.GoGSampler(sim, alloc, sp.SamplerConfig(mode=mode, seed=2)).sample(0)
     assert gog.edges.shape == (0, 3)
     assert gog.edges.dtype == np.int64
+
+
+@pytest.mark.parametrize("mode", [sp.WITH_REPLACEMENT, sp.WITHOUT_REPLACEMENT])
+def test_empty_similarity_rejected_by_name(mode):
+    sim = FactorSimilarity(P=np.zeros((0, 2)), diagonal_zeroed=True)
+    alloc = DegreeAllocation(k=np.zeros(0, dtype=np.int64), total=0)
+    with pytest.raises(ValueError, match=r"empty similarity \(0 nodes\)"):
+        sp.GoGSampler(sim, alloc, sp.SamplerConfig(mode=mode))
 
 
 def square_array_fixture(n):
