@@ -2,7 +2,6 @@
 
 from .data import (
     GraphDataset,
-    InputGraph,
     SplitSpec,
     build_features,
     compute_class_imbalance_ratio,

@@ -345,9 +345,7 @@ def main(argv=None) -> int:
                 "feature_scheme": dataset.feature_scheme,
                 "feature_dim": dataset.feature_dim,
                 "avg_nodes": float(sizes.mean()),
-                "avg_edges": float(
-                    np.mean([len(g.edges) for g in dataset.graphs])
-                ),
+                "avg_edges": float(dataset.edge_counts.mean()),
                 "class_counts": np.bincount(
                     dataset.labels()[dataset.labels() >= 0],
                     minlength=dataset.num_classes,

@@ -3,14 +3,15 @@ imbalance ratios, and imbalanced split generation.
 
 Conventions: files on disk are 1-indexed (TUDataset format), everything in
 memory is 0-indexed.  Graph labels are remapped to a contiguous [0, C) range
-at parse time.
+at parse time.  A dataset stores its graphs stacked, in graph order (see
+``GraphDataset``); a graph's identity is its position.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,80 +50,120 @@ class SplitError(DatasetError):
     """A requested split is infeasible or malformed."""
 
 
-@dataclass(frozen=True)
-class InputGraph:
-    """One classification instance: adjacency, features, optional label."""
-
-    id: int
-    edges: tuple[tuple[int, int], ...]  # canonical (min, max) pairs, deduped
-    node_features: np.ndarray  # (size, feature_dim) float64
-    label: int | None
-    node_labels: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        n = self.node_features.shape[0]
-        if n == 0:
-            raise IntegrityError(f"graph {self.id} has no nodes")
-        seen = set()
-        for edge in self.edges:
-            u, v = edge
-            if not 0 <= u <= v < n:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise IntegrityError(
-                        f"graph {self.id}: edge ({u}, {v}) outside [0, {n})"
-                    )
-                raise IntegrityError(
-                    f"graph {self.id}: edge ({u}, {v}) not canonicalized"
-                )
-            if edge in seen:
-                raise IntegrityError(f"graph {self.id}: duplicate edge ({u}, {v})")
-            seen.add(edge)
-        if self.node_labels is not None and len(self.node_labels) != n:
-            raise IntegrityError(f"graph {self.id}: node label count != size")
-
-    @property
-    def size(self) -> int:
-        return self.node_features.shape[0]
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.size, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            if v != u:
-                deg[v] += 1
-        return deg
+def _node_offsets(node_counts: np.ndarray) -> np.ndarray:
+    """Each graph's first row in the stacked node arrays."""
+    return np.cumsum(node_counts) - node_counts
 
 
-@dataclass(frozen=True)
+def _stored(value, dtype) -> np.ndarray:
+    """A read-only copy of ``value``."""
+    array = np.array(value, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class GraphDataset:
-    graphs: tuple[InputGraph, ...]
+    """Every graph stacked in graph order, the block-diagonal layout the
+    encoder trains on.  Graph g's nodes are rows ``node_offsets[g]`` to
+    ``node_offsets[g] + node_counts[g]`` of ``node_features`` and
+    ``node_labels``; its ``edge_counts[g]`` edges follow graph g - 1's in
+    ``edges``, as local ids ``(u, v)`` with ``u <= v``.  A graph label of -1
+    means unlabeled.
+
+    The constructor checks the arrays once and stores read-only copies: a
+    graph with no nodes, an edge outside ``[0, n)``, not canonical or
+    repeated, a label outside ``[-1, num_classes)``, or counts that do not
+    match the stacked arrays is an ``IntegrityError``.
+    """
+
+    node_features: np.ndarray  # (V, feature_dim) float64
+    node_counts: np.ndarray  # (N,) int64
+    edges: np.ndarray  # (E, 2) int64, local ids
+    edge_counts: np.ndarray  # (N,) int64
+    graph_labels: np.ndarray  # (N,) int64, -1 where absent
     num_classes: int
     feature_scheme: str
-    feature_dim: int
+    node_labels: np.ndarray | None = None  # (V,) int64
+    node_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.feature_scheme not in (*FEATURE_SCHEMES, PLANTED_GAUSSIAN):
             raise FeatureConfigError(f"unknown feature scheme {self.feature_scheme!r}")
-        for g in self.graphs:
-            if g.node_features.shape[1] != self.feature_dim:
-                raise IntegrityError(
-                    f"graph {g.id}: feature dim {g.node_features.shape[1]} != "
-                    f"{self.feature_dim}"
-                )
-            if g.label is not None and not (0 <= g.label < self.num_classes):
-                raise IntegrityError(f"graph {g.id}: label {g.label} out of range")
+        for name, dtype in (
+            ("node_features", np.float64), ("node_counts", np.int64),
+            ("edges", np.int64), ("edge_counts", np.int64),
+            ("graph_labels", np.int64), ("node_labels", np.int64),
+        ):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _stored(getattr(self, name), dtype))
+        counts, edge_counts = self.node_counts, self.edge_counts
+        labels, features = self.graph_labels, self.node_features
+        num_nodes, num_edges = int(counts.sum()), int(edge_counts.sum())
+        if not (counts.ndim == 1 and counts.shape == edge_counts.shape == labels.shape
+                and features.ndim == 2 and len(features) == num_nodes
+                and self.edges.shape == (num_edges, 2) and (edge_counts >= 0).all()):
+            raise IntegrityError(
+                f"{counts.size} node counts, {edge_counts.size} edge counts and "
+                f"{labels.size} labels do not match node features of shape "
+                f"{features.shape} and edges of shape {self.edges.shape}"
+            )
+        if (counts <= 0).any():
+            raise IntegrityError(f"graph {np.argmax(counts <= 0)} has no nodes")
+        offsets = _stored(_node_offsets(counts), np.int64)
+        object.__setattr__(self, "node_offsets", offsets)
+        _check_edges(self.edges, edge_counts, counts, offsets, num_nodes)
+        outside = (labels < -1) | (labels >= self.num_classes)
+        if outside.any():
+            g = int(np.argmax(outside))
+            raise IntegrityError(f"graph {g}: label {labels[g]} out of range")
+        if self.node_labels is not None and self.node_labels.shape != (num_nodes,):
+            raise IntegrityError(
+                f"{self.node_labels.size} node labels for {num_nodes} nodes"
+            )
+
+    @property
+    def feature_dim(self) -> int:
+        return self.node_features.shape[1]
 
     def __len__(self) -> int:
-        return len(self.graphs)
+        return self.node_counts.size
 
     def sizes(self) -> np.ndarray:
-        return np.array([g.size for g in self.graphs], dtype=np.int64)
+        return self.node_counts.copy()
 
     def labels(self) -> np.ndarray:
         """Labels as int64, -1 where absent."""
-        return np.array(
-            [-1 if g.label is None else g.label for g in self.graphs], dtype=np.int64
-        )
+        return self.graph_labels.copy()
+
+    def global_edges(self) -> np.ndarray:
+        """``edges`` as rows of the stacked node arrays: each graph's local
+        ids plus its node offset."""
+        return self.edges + np.repeat(self.node_offsets, self.edge_counts)[:, None]
+
+
+def _check_edges(edges, edge_counts, node_counts, offsets, num_nodes) -> None:
+    """Raises for the first edge, in stacked order, that is outside its
+    graph, not canonical, or a repeat of an earlier edge of its graph."""
+    graph = np.repeat(np.arange(node_counts.size), edge_counts)
+    u, v = edges[:, 0], edges[:, 1]
+    n = node_counts[graph]
+    bad = (u < 0) | (u > v) | (v >= n)
+    first = int(np.argmax(bad)) if bad.any() else edges.shape[0]
+    # only an edge before the first bad one can repeat a valid edge; a stable
+    # sort puts each repeat after the edge it repeats
+    start = offsets[graph[:first]]
+    key = (u[:first] + start) * num_nodes + (v[:first] + start)
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if repeats.size:
+        i = int(repeats.min())
+        raise IntegrityError(f"graph {graph[i]}: duplicate edge ({u[i]}, {v[i]})")
+    if first < edges.shape[0]:
+        g, a, b, size = graph[first], u[first], v[first], n[first]
+        if 0 <= a < size and 0 <= b < size:
+            raise IntegrityError(f"graph {g}: edge ({a}, {b}) not canonicalized")
+        raise IntegrityError(f"graph {g}: edge ({a}, {b}) outside [0, {size})")
 
 
 @dataclass(frozen=True)
@@ -150,7 +191,7 @@ class SplitSpec:
                 if not (0 <= i < n):
                     raise SplitError(f"{name} index {i} outside dataset of size {n}")
         for i in self.train_idx:
-            if dataset.graphs[i].label is None:
+            if dataset.graph_labels[i] < 0:
                 raise SplitError(f"train index {i} has no label")
 
 
@@ -173,8 +214,8 @@ def _read_int_lines(path: str) -> list[int]:
     return out
 
 
-def _read_edge_lines(path: str) -> list[tuple[int, int, int]]:
-    """(src, dst, line_number) triples, 1-indexed global node ids."""
+def _read_edge_lines(path: str) -> np.ndarray:
+    """(src, dst, line_number) rows, 1-indexed global node ids."""
     out = []
     with open(path, "r", newline=None) as f:
         for ln, line in enumerate(f, start=1):
@@ -188,7 +229,7 @@ def _read_edge_lines(path: str) -> list[tuple[int, int, int]]:
                 out.append((int(parts[0].strip()), int(parts[1].strip()), ln))
             except ValueError as e:
                 raise ParseError(f"{path}:{ln}: expected integers, got {line!r}") from e
-    return out
+    return np.array(out, dtype=np.int64).reshape(-1, 3)
 
 
 def parse_tudataset(
@@ -200,8 +241,9 @@ def parse_tudataset(
     """Parse `<DS>_A.txt`, `<DS>_graph_indicator.txt`, `<DS>_graph_labels.txt`
     and the optional `<DS>_node_labels.txt` under ``root_path``.
 
-    ``feature_scheme`` defaults to node-label-onehot when node labels exist,
-    degree-onehot otherwise.
+    A graph's nodes are stacked in ascending file id, and its edges are
+    deduplicated and sorted.  ``feature_scheme`` defaults to
+    node-label-onehot when node labels exist, degree-onehot otherwise.
     """
     prefix = os.path.join(root_path, dataset_name)
 
@@ -212,7 +254,7 @@ def parse_tudataset(
         return path
 
     edges = _read_edge_lines(require("A.txt"))
-    indicator = _read_int_lines(require("graph_indicator.txt"))
+    indicator = np.array(_read_int_lines(require("graph_indicator.txt")), np.int64)
     graph_labels_raw = _read_int_lines(require("graph_labels.txt"))
 
     node_labels_path = f"{prefix}_node_labels.txt"
@@ -228,103 +270,119 @@ def parse_tudataset(
     num_graphs = len(graph_labels_raw)
     if num_graphs == 0:
         raise ParseError(f"{prefix}_graph_labels.txt: no graphs")
-    if indicator and (min(indicator) < 1 or max(indicator) > num_graphs):
+    if indicator.size and (indicator.min() < 1 or indicator.max() > num_graphs):
         raise IntegrityError(
             f"{prefix}_graph_indicator.txt: graph id outside [1, {num_graphs}]"
         )
 
-    # global node id (1-indexed) -> (graph index, local node index); local
-    # order follows ascending global id within each graph
-    node_graph = np.array(indicator, dtype=np.int64) - 1
+    # file id - 1 of each stacked node, and the stacked row of each file id
+    n_nodes = indicator.size
+    node_graph = indicator - 1
     order = np.argsort(node_graph, kind="stable")
+    row = np.empty(n_nodes, dtype=np.int64)
+    row[order] = np.arange(n_nodes)
     counts = np.bincount(node_graph, minlength=num_graphs)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    local_index = np.empty(len(indicator), dtype=np.int64)
-    local_index[order] = np.arange(len(indicator)) - np.repeat(starts, counts)
 
-    per_graph_edges: list[set[tuple[int, int]]] = [set() for _ in range(num_graphs)]
-    n_nodes = len(indicator)
-    for src, dst, ln in edges:
-        if not (1 <= src <= n_nodes and 1 <= dst <= n_nodes):
+    # the first line with an id outside the file or an edge across graphs
+    src, dst, line = edges.T
+    outside = (src < 1) | (src > n_nodes) | (dst < 1) | (dst > n_nodes)
+    graph_of = np.append(node_graph, -1)  # -1 for an id outside the file
+    gs = graph_of[np.where(outside, n_nodes, src - 1)]
+    gd = graph_of[np.where(outside, n_nodes, dst - 1)]
+    bad = outside | (gs != gd)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if outside[i]:
             raise IntegrityError(
-                f"{prefix}_A.txt:{ln}: node id outside [1, {n_nodes}]"
+                f"{prefix}_A.txt:{line[i]}: node id outside [1, {n_nodes}]"
             )
-        gs, gd = node_graph[src - 1], node_graph[dst - 1]
-        if gs != gd:
-            raise IntegrityError(
-                f"{prefix}_A.txt:{ln}: edge ({src}, {dst}) crosses graphs "
-                f"{gs + 1} and {gd + 1}"
-            )
-        u, v = int(local_index[src - 1]), int(local_index[dst - 1])
-        per_graph_edges[gs].add((min(u, v), max(u, v)))
-
-    label_map = {lab: i for i, lab in enumerate(sorted(set(graph_labels_raw)))}
-    num_classes = len(label_map)
-
-    graphs = []
-    for gid in range(num_graphs):
-        n = int(counts[gid])
-        if node_labels_raw is not None:
-            members = order[starts[gid] : starts[gid] + counts[gid]]
-            nl = tuple(node_labels_raw[int(m)] for m in members)
-        else:
-            nl = None
-        graphs.append(
-            InputGraph(
-                id=gid,
-                edges=tuple(sorted(per_graph_edges[gid])),
-                node_features=np.zeros((n, 1), dtype=np.float64),
-                label=label_map[graph_labels_raw[gid]],
-                node_labels=nl,
-            )
+        raise IntegrityError(
+            f"{prefix}_A.txt:{line[i]}: edge ({src[i]}, {dst[i]}) crosses graphs "
+            f"{gs[i] + 1} and {gd[i] + 1}"
         )
 
+    # canonical pairs of stacked rows, deduplicated and sorted: by graph,
+    # then by local (u, v)
+    ru, rv = row[src - 1], row[dst - 1]
+    lo, hi = np.divmod(np.unique(np.minimum(ru, rv) * n_nodes + np.maximum(ru, rv)),
+                       max(n_nodes, 1))
+    edge_graph = node_graph[order][lo]
+    start = _node_offsets(counts)[edge_graph]
+
+    distinct, labels = np.unique(graph_labels_raw, return_inverse=True)
+    node_labels = None if node_labels_raw is None else np.array(node_labels_raw)[order]
     if feature_scheme is None:
         feature_scheme = (
             NODE_LABEL_ONEHOT if node_labels_raw is not None else DEGREE_ONEHOT
         )
-    dataset = GraphDataset(
-        graphs=tuple(graphs),
-        num_classes=num_classes,
-        feature_scheme=DEGREE_ONEHOT,  # placeholder until features are built
-        feature_dim=1,
+    return GraphDataset(
+        node_features=_features(feature_scheme, n_nodes, lo, hi, node_labels,
+                                degree_cap),
+        node_counts=counts,
+        edges=np.column_stack((lo - start, hi - start)),
+        edge_counts=np.bincount(edge_graph, minlength=num_graphs),
+        graph_labels=labels,
+        num_classes=distinct.size,
+        feature_scheme=feature_scheme,
+        node_labels=node_labels,
     )
-    return build_features(dataset, feature_scheme, degree_cap=degree_cap)
+
+
+def _write_lines(path: str, values) -> None:
+    with open(path, "w") as f:
+        f.write("".join(f"{value}\n" for value in values))
 
 
 def write_tudataset(dataset: GraphDataset, root_path: str, dataset_name: str) -> None:
-    """Emit the dataset in TUDataset text format (both edge directions).
-    Graphs are numbered by position in ``dataset.graphs``, not by ``id``."""
+    """Emit the dataset in TUDataset text format (both edge directions, a
+    self-loop once); graphs are numbered by position."""
+    unlabeled = dataset.graph_labels < 0
+    if unlabeled.any():
+        raise DatasetError(f"graph {np.argmax(unlabeled)} has no label to serialize")
     os.makedirs(root_path, exist_ok=True)
     prefix = os.path.join(root_path, dataset_name)
-    offsets = np.concatenate(([0], np.cumsum(dataset.sizes())))
-
-    with open(f"{prefix}_A.txt", "w") as f:
-        for pos, g in enumerate(dataset.graphs):
-            base = offsets[pos] + 1
-            for u, v in g.edges:
-                f.write(f"{base + u}, {base + v}\n")
-                if u != v:
-                    f.write(f"{base + v}, {base + u}\n")
-    with open(f"{prefix}_graph_indicator.txt", "w") as f:
-        for pos, g in enumerate(dataset.graphs):
-            for _ in range(g.size):
-                f.write(f"{pos + 1}\n")
-    with open(f"{prefix}_graph_labels.txt", "w") as f:
-        for g in dataset.graphs:
-            if g.label is None:
-                raise DatasetError(f"graph {g.id} has no label to serialize")
-            f.write(f"{g.label}\n")
-    if all(g.node_labels is not None for g in dataset.graphs):
-        with open(f"{prefix}_node_labels.txt", "w") as f:
-            for g in dataset.graphs:
-                for nl in g.node_labels:
-                    f.write(f"{nl}\n")
+    src, dst = (dataset.global_edges() + 1).T
+    # each edge, then its reverse unless it is a self-loop
+    lines = np.column_stack((src, dst, dst, src)).reshape(-1, 2)
+    keep = np.column_stack((np.ones_like(src, dtype=bool), src != dst)).ravel()
+    _write_lines(f"{prefix}_A.txt", (f"{a}, {b}" for a, b in lines[keep].tolist()))
+    _write_lines(
+        f"{prefix}_graph_indicator.txt",
+        np.repeat(np.arange(1, len(dataset) + 1), dataset.node_counts).tolist(),
+    )
+    _write_lines(f"{prefix}_graph_labels.txt", dataset.graph_labels.tolist())
+    if dataset.node_labels is not None:
+        _write_lines(f"{prefix}_node_labels.txt", dataset.node_labels.tolist())
 
 
 # ---------------------------------------------------------------------------
 # Feature construction
 # ---------------------------------------------------------------------------
+
+
+def _features(scheme, num_nodes, src, dst, node_labels, degree_cap) -> np.ndarray:
+    """One-hot node features over the stacked nodes, given the stacked edge
+    endpoints ``src``/``dst`` and the node labels (None when absent)."""
+    if degree_cap < 0:
+        raise FeatureConfigError(f"need degree_cap >= 0, got degree_cap={degree_cap}")
+    if scheme == NODE_LABEL_ONEHOT:
+        if node_labels is None:
+            raise FeatureConfigError(
+                "node-label-onehot requested but node labels were not parsed"
+            )
+        distinct, column = np.unique(node_labels, return_inverse=True)
+        dim = distinct.size
+    elif scheme == DEGREE_ONEHOT:
+        # a self-loop adds one to its node's degree
+        degree = np.bincount(src, minlength=num_nodes)
+        degree += np.bincount(dst[src != dst], minlength=num_nodes)
+        dim = min(int(degree.max(initial=0)), degree_cap) + 1
+        column = np.minimum(degree, dim - 1)
+    else:
+        raise FeatureConfigError(f"unknown feature scheme {scheme!r}")
+    features = np.zeros((num_nodes, dim), dtype=np.float64)
+    features[np.arange(num_nodes), column] = 1.0
+    return features
 
 
 def build_features(
@@ -336,45 +394,10 @@ def build_features(
     degree-onehot: one column per degree value 0..max_degree, where degrees
     above ``degree_cap`` clamp into the last bucket.
     """
-    if degree_cap < 0:
-        raise FeatureConfigError(f"need degree_cap >= 0, got degree_cap={degree_cap}")
-    if scheme == NODE_LABEL_ONEHOT:
-        if any(g.node_labels is None for g in dataset.graphs):
-            raise FeatureConfigError(
-                "node-label-onehot requested but node labels were not parsed"
-            )
-        distinct = sorted({nl for g in dataset.graphs for nl in g.node_labels})
-        col = {lab: j for j, lab in enumerate(distinct)}
-        dim = len(distinct)
-        new_graphs = []
-        for g in dataset.graphs:
-            feats = np.zeros((g.size, dim), dtype=np.float64)
-            for i, nl in enumerate(g.node_labels):
-                feats[i, col[nl]] = 1.0
-            new_graphs.append(replace(g, node_features=feats))
-    elif scheme == DEGREE_ONEHOT:
-        max_deg = 0
-        all_degs = []
-        for g in dataset.graphs:
-            deg = g.degrees()
-            all_degs.append(deg)
-            if deg.size:
-                max_deg = max(max_deg, int(deg.max()))
-        dim = min(max_deg, degree_cap) + 1
-        new_graphs = []
-        for g, deg in zip(dataset.graphs, all_degs):
-            feats = np.zeros((g.size, dim), dtype=np.float64)
-            feats[np.arange(g.size), np.minimum(deg, dim - 1)] = 1.0
-            new_graphs.append(replace(g, node_features=feats))
-    else:
-        raise FeatureConfigError(f"unknown feature scheme {scheme!r}")
-
-    return GraphDataset(
-        graphs=tuple(new_graphs),
-        num_classes=dataset.num_classes,
-        feature_scheme=scheme,
-        feature_dim=dim,
-    )
+    src, dst = dataset.global_edges().T
+    features = _features(scheme, dataset.node_features.shape[0], src, dst,
+                         dataset.node_labels, degree_cap)
+    return replace(dataset, node_features=features, feature_scheme=scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +407,13 @@ def build_features(
 
 def compute_class_imbalance_ratio(dataset: GraphDataset, train_idx) -> float:
     """max class count / min class count over the training indices."""
-    counts = np.zeros(dataset.num_classes, dtype=np.int64)
-    for i in train_idx:
-        lab = dataset.graphs[i].label
-        if lab is None:
-            raise UndefinedRatioError(f"train index {i} has no label")
-        counts[lab] += 1
+    idx = np.asarray(train_idx, dtype=np.int64)
+    labels = dataset.graph_labels[idx]
+    unlabeled = labels < 0
+    if unlabeled.any():
+        i = idx[np.argmax(unlabeled)]
+        raise UndefinedRatioError(f"train index {i} has no label")
+    counts = np.bincount(labels, minlength=dataset.num_classes)
     if np.any(counts == 0):
         missing = [c for c in range(dataset.num_classes) if counts[c] == 0]
         raise UndefinedRatioError(f"classes {missing} absent from train set")
@@ -399,8 +423,8 @@ def compute_class_imbalance_ratio(dataset: GraphDataset, train_idx) -> float:
 def head_tail_partition(dataset: GraphDataset) -> tuple[list[int], list[int]]:
     """Largest ceil(0.2 N) graphs by node count vs the rest.
 
-    Size ties are broken by ascending graph id, so among equal sizes the
-    highest ids land in the head.
+    Size ties are broken by ascending position, so among equal sizes the
+    last graphs land in the head.
     """
     n = len(dataset)
     if n < 5:
@@ -597,55 +621,44 @@ def make_planted_dataset(
             f"noise={noise}"
         )
     rng = generator(seed, 0x9D0)
-    pairs = {}  # n -> np.triu_indices(n, 1)
-    graphs = []
-    for gid in range(num_graphs):
-        label = gid % 2
+    pairs = {}  # n -> every pair u < v of n nodes, in row-major order
+    sizes, edges, features = [], [], []
+    for g in range(num_graphs):
         # the size stays a scalar draw: bounded integers buffer per call
         n = int(rng.integers(min_nodes, max_nodes + 1))
         if n not in pairs:
-            pairs[n] = np.triu_indices(n, 1)
-        # one uniform per pair u < v in row-major order, so the kept pairs
-        # come out sorted
-        u, v = pairs[n]
-        keep = rng.random(u.size) < edge_prob
-        edges = tuple(zip(u[keep].tolist(), v[keep].tolist()))
+            pairs[n] = np.column_stack(np.triu_indices(n, 1))
+        # one uniform per pair, so the kept pairs come out sorted
+        keep = rng.random(len(pairs[n])) < edge_prob
         feats = noise * rng.standard_normal((n, feature_dim))
-        feats[:, label] += signal
-        graphs.append(
-            InputGraph(
-                id=gid,
-                edges=edges,
-                node_features=feats,
-                label=label,
-            )
-        )
+        feats[:, g % 2] += signal
+        sizes.append(n)
+        edges.append(pairs[n][keep])
+        features.append(feats)
     return GraphDataset(
-        graphs=tuple(graphs),
+        node_features=np.concatenate([np.zeros((0, feature_dim)), *features]),
+        node_counts=sizes,
+        edges=np.concatenate([np.zeros((0, 2), np.int64), *edges]),
+        edge_counts=[len(e) for e in edges],
+        graph_labels=np.arange(num_graphs) % 2,
         num_classes=2,
         feature_scheme=PLANTED_GAUSSIAN,
-        feature_dim=feature_dim,
     )
 
 
 def make_path_graph_dataset(sizes, labels=None) -> GraphDataset:
     """Path graphs with the given node counts; handy for size-ratio fixtures."""
-    graphs = []
-    for gid, n in enumerate(sizes):
-        edges = tuple((i, i + 1) for i in range(n - 1))
-        lab = None if labels is None else int(labels[gid])
-        graphs.append(
-            InputGraph(
-                id=gid,
-                edges=edges,
-                node_features=np.ones((n, 1), dtype=np.float64),
-                label=lab,
-            )
-        )
-    num_classes = 1 if labels is None else int(max(labels)) + 1
+    sizes = np.asarray(sizes, dtype=np.int64)
+    local = np.arange(sizes.sum()) - np.repeat(_node_offsets(sizes), sizes)
+    # every node but its graph's last links to the next one
+    u = local[local < np.repeat(sizes - 1, sizes)]
+    num_classes = 2 if labels is None else max(int(max(labels)) + 1, 2)
     return GraphDataset(
-        graphs=tuple(graphs),
-        num_classes=max(num_classes, 2) if labels is not None else 2,
+        node_features=np.ones((local.size, 1)),
+        node_counts=sizes,
+        edges=np.column_stack((u, u + 1)),
+        edge_counts=np.maximum(sizes - 1, 0),
+        graph_labels=np.full(sizes.size, -1) if labels is None else labels,
+        num_classes=num_classes,
         feature_scheme=DEGREE_ONEHOT,
-        feature_dim=1,
     )

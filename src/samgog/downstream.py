@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import (
     GraphDataset,
+    SplitError,
     SplitSpec,
     head_tail_partition,
     labels_with_test_masked,
@@ -107,15 +108,11 @@ def init_downstream_state(
     num_classes: int,
     config: GoGClassifierConfig,
     seed: int,
-    optimizer: str = "adam",
     learning_rate: float = 0.01,
-    schedule: str = "constant",
 ) -> ModelState:
+    """Glorot-initialized GCN parameters under Adam at a constant rate."""
     spec = table_param_spec(_layer_table(config, num_classes), in_dim)
-    return init_model_state(
-        spec, (seed, 0xD09), optimizer=optimizer,
-        learning_rate=learning_rate, schedule=schedule,
-    )
+    return init_model_state(spec, (seed, 0xD09), learning_rate=learning_rate)
 
 
 def gog_propagation_matrix(gog: GoGGraph) -> SymmetricOperator:
@@ -183,22 +180,23 @@ def compute_metrics(
     edge_homophily_std: float = float("nan"),
 ) -> MetricsReport:
     """Accuracy, balanced accuracy (mean per-class recall), macro-F1, and
-    head/tail accuracy over positions given by head_idx/tail_idx."""
+    head/tail accuracy over positions given by head_idx/tail_idx.  A label or
+    prediction outside [0, num_classes) is a ``ValueError``."""
     pred = np.asarray(predictions, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
     if pred.size == 0 or pred.shape != true.shape:
         raise ValueError("predictions and labels must be equal-length, non-empty")
     c = int(num_classes if num_classes is not None else max(pred.max(), true.max()) + 1)
+    for name, values in (("label", true), ("prediction", pred)):
+        outside = (values < 0) | (values >= c)
+        if outside.any():
+            raise ValueError(f"{name} {values[outside][0]} outside [0, {c})")
 
     accuracy = float((pred == true).mean())
-    # confusion[t, p] counts graphs of class t predicted as p; index c holds
-    # labels outside [0, c), such as an unlabeled graph's -1: they count
-    # against accuracy but belong to no class
-    t_idx, p_idx = (np.where((x >= 0) & (x < c), x, c) for x in (true, pred))
-    confusion = np.bincount(t_idx * (c + 1) + p_idx, minlength=(c + 1) ** 2)
-    confusion = confusion.reshape(c + 1, c + 1)
-    tp = np.diag(confusion)[:c].astype(np.float64)
-    actual, predicted = confusion[:c].sum(axis=1), confusion[:, :c].sum(axis=0)
+    # confusion[t, p] counts graphs of class t predicted as p
+    confusion = np.bincount(true * c + pred, minlength=c * c).reshape(c, c)
+    tp = np.diag(confusion).astype(np.float64)
+    actual, predicted = confusion.sum(axis=1), confusion.sum(axis=0)
     # recall is nan for a class with no graphs, precision 0 for a class never
     # predicted, and F1 0 for a class with no true positive
     recalls = np.divide(tp, actual, out=np.full(c, np.nan), where=actual > 0)
@@ -270,8 +268,13 @@ def _observable_homophily(gog: GoGGraph, observable_labels: np.ndarray) -> float
 def _set_up(dataset: GraphDataset, split: SplitSpec):
     """The checks both trainers run before training, in order, and what they
     read: the labels with the test graphs' masked, and the train, val and
-    test index lists."""
+    test index lists.  Every val and test graph must be labeled, as it is
+    scored."""
     split.validate(dataset)
+    for name, idx in (("val", split.val_idx), ("test", split.test_idx)):
+        unlabeled = dataset.graph_labels[list(idx)] < 0
+        if unlabeled.any():
+            raise SplitError(f"{name} index {idx[np.argmax(unlabeled)]} has no label")
     if len(split.train_idx) == 0:
         raise TrainingError("training requires a non-empty labeled train set")
     if len(split.test_idx) == 0:

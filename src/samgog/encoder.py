@@ -107,19 +107,15 @@ def _adjacency(n: int, edges) -> np.ndarray:
 
 
 def build_operators(dataset: GraphDataset, config: EncoderConfig) -> SymmetricOperator:
-    """One block-diagonal operator over every graph's nodes, stacked in graph
-    order: D^{-1/2} (A + I) D^{-1/2} for GCN, A + (1 + eps) I for GIN.  Input
+    """One block-diagonal operator over the dataset's stacked nodes:
+    D^{-1/2} (A + I) D^{-1/2} for GCN, A + (1 + eps) I for GIN.  Input
     self-loops are dropped, as in ``_adjacency``."""
-    sizes = dataset.sizes()
-    edges = np.concatenate(
-        [np.array(g.edges, dtype=np.int64).reshape(-1, 2) + off
-         for g, off in zip(dataset.graphs, np.cumsum(sizes) - sizes)]
-    )
+    edges = dataset.global_edges()
     edges = edges[edges[:, 0] != edges[:, 1]]
     gcn = config.arch == ARCH_GCN
     diagonal = 1.0 if gcn else 1.0 + config.epsilon_gin
-    return SymmetricOperator(int(sizes.sum()), edges[:, 0], edges[:, 1], 1.0,
-                             diagonal=diagonal, normalize=gcn)
+    return SymmetricOperator(len(dataset.node_features), edges[:, 0], edges[:, 1],
+                             1.0, diagonal=diagonal, normalize=gcn)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +153,12 @@ def _forward(dataset, config, views, rng, train, op):
     if op is None:
         op = build_operators(dataset, config)
     p = config.dropout if train else 0.0
-    sizes = dataset.sizes()
+    sizes = dataset.node_counts
     table = _layer_table(config, dataset.num_classes)
     layers, head = table[:-2], table[-2:]
-    x = np.vstack([g.node_features for g in dataset.graphs])
-    x, layer_caches = table_forward(layers, x, views, op, p, rng)
-    h = np.add.reduceat(x, np.cumsum(sizes) - sizes, axis=0)
+    # the table never writes its input, so the stored features need no copy
+    x, layer_caches = table_forward(layers, dataset.node_features, views, op, p, rng)
+    h = np.add.reduceat(x, dataset.node_offsets, axis=0)
     if config.readout == READOUT_MEAN:
         h = h / sizes[:, None]
     logits, head_caches = table_forward(head, h, views, None, p, rng)

@@ -1,6 +1,6 @@
 """Shared neural-network plumbing: flat parameter vectors partitioned into
 named tensors, the dense map and its layer tables, cross-entropy, and
-SGD/Adam.
+Adam.
 
 Every network is a layer table of dense maps ``[ReLU](x @ W [+ b])``, each
 optionally preceded by a propagation ``op @ x`` and followed by dropout;
@@ -125,10 +125,11 @@ def _node_ids(values) -> np.ndarray:
     """Edge endpoints as int64 node ids; one that is not a whole number is an
     error, not truncated."""
     ids = np.asarray(values)
-    whole = ids.dtype.kind in "iu" or np.isfinite(ids) & (np.round(ids) == ids)
-    if not np.all(whole):
-        bad = ids.flat[np.argmin(whole)]
-        raise ValueError(f"edge endpoint {bad} is not an integer node id")
+    if ids.dtype.kind not in "iu":
+        whole = np.isfinite(ids) & (np.round(ids) == ids)
+        if not whole.all():
+            bad = ids.flat[np.argmin(whole)]
+            raise ValueError(f"edge endpoint {bad} is not an integer node id")
     return ids.astype(np.int64, copy=False)
 
 
@@ -164,11 +165,12 @@ class SymmetricOperator:
                 f"edge ({src[i]}, {dst[i]}) has an endpoint outside [0, {n})"
             )
         weight = np.asarray(weight, dtype=np.float64)
-        for name, value in (("edge weight", weight), ("diagonal", diagonal)):
-            finite = np.isfinite(value)
-            if not np.all(finite):
-                bad = np.asarray(value).flat[np.argmin(finite)]
-                raise ValueError(f"{name} {bad} is not finite")
+        finite = np.isfinite(weight)
+        if not finite.all():
+            bad = weight.flat[np.argmin(finite)]
+            raise ValueError(f"edge weight {bad} is not finite")
+        if not math.isfinite(diagonal):
+            raise ValueError(f"diagonal {diagonal} is not finite")
         weight = np.broadcast_to(weight, src.shape)
         nodes = np.arange(n)
         rows = np.concatenate((nodes, src, dst))
@@ -326,8 +328,6 @@ def table_backward(table, caches, dout, op, grad_views, input_grad: bool):
 # Optimizers
 # ---------------------------------------------------------------------------
 
-SCHEDULE_CONSTANT = "constant"
-SCHEDULE_INVERSE = "inverse"  # eta_s = eta_0 / s, the diminishing-rate mode
 # Adam's moment decay rates and denominator guard
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -336,23 +336,18 @@ _ADAM_EPS = 1e-8
 
 @dataclass
 class ModelState:
-    """Flat parameters plus optimizer moments and a private random stream."""
+    """Flat parameters, Adam's moments at a constant learning rate, and a
+    private random stream."""
 
     spec: ParamSpec
     params: np.ndarray
-    optimizer: str = "adam"
     learning_rate: float = 0.01
-    schedule: str = SCHEDULE_CONSTANT
     step_count: int = 0
     m: np.ndarray = field(default=None)  # type: ignore[assignment]
     v: np.ndarray = field(default=None)  # type: ignore[assignment]
     rng: np.random.Generator = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.schedule not in (SCHEDULE_CONSTANT, SCHEDULE_INVERSE):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
@@ -369,47 +364,31 @@ class ModelState:
     def views(self) -> dict[str, np.ndarray]:
         return self.spec.views(self.params)
 
-    def current_lr(self) -> float:
-        s = self.step_count + 1
-        if self.schedule == SCHEDULE_INVERSE:
-            return self.learning_rate / s
-        return self.learning_rate
-
 
 def init_model_state(
-    spec: ParamSpec,
-    seed_parts: tuple[int, ...],
-    optimizer: str = "adam",
-    learning_rate: float = 0.01,
-    schedule: str = SCHEDULE_CONSTANT,
+    spec: ParamSpec, seed_parts: tuple[int, ...], learning_rate: float = 0.01
 ) -> ModelState:
     return ModelState(
         spec=spec,
         params=glorot_init(spec, *seed_parts),
-        optimizer=optimizer,
         learning_rate=learning_rate,
-        schedule=schedule,
         rng=generator(*seed_parts, 0xD0),
     )
 
 
 def optimizer_step(state: ModelState, grad: np.ndarray) -> ModelState:
-    """Apply one SGD or Adam update in place; returns the same state."""
+    """Apply one Adam update in place; returns the same state."""
     if grad.shape != state.params.shape:
         raise TrainingError(
             f"gradient length {grad.shape} != parameters {state.params.shape}"
         )
     if not np.all(np.isfinite(grad)):
         raise TrainingError("non-finite gradient; halting")
-    lr = state.current_lr()
     state.step_count += 1
-    if state.optimizer == "sgd":
-        state.params -= lr * grad
-    else:
-        s = state.step_count
-        state.m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grad
-        state.v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * grad * grad
-        m_hat = state.m / (1.0 - _ADAM_BETA1**s)
-        v_hat = state.v / (1.0 - _ADAM_BETA2**s)
-        state.params -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+    s = state.step_count
+    state.m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grad
+    state.v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - _ADAM_BETA1**s)
+    v_hat = state.v / (1.0 - _ADAM_BETA2**s)
+    state.params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return state

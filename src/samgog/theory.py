@@ -29,7 +29,7 @@ from .downstream import (
     gog_propagation_matrix,
     init_downstream_state,
 )
-from .nn import SCHEDULE_INVERSE, SymmetricOperator, optimizer_step
+from .nn import SymmetricOperator, TrainingError
 from .rng import generator, mix
 from .sampler import (
     GoGSampler,
@@ -276,10 +276,8 @@ def check_variance_decay(
                 sim, alloc,
                 SamplerConfig(mode=WITH_REPLACEMENT, seed=mix(seed, t, rep)),
             )
-            state = init_downstream_state(
-                h.shape[1], 2, config, seed,  # same init across replicates
-                optimizer="sgd", learning_rate=0.3, schedule=SCHEDULE_INVERSE,
-            )
+            # the same init across replicates
+            state = init_downstream_state(h.shape[1], 2, config, seed)
             for epoch in range(1, epochs + 1):
                 grad_sum = None
                 for j in range(t):
@@ -289,7 +287,10 @@ def check_variance_decay(
                         prop, h, state, config, labels, labeled_idx, train=False
                     )
                     grad_sum = grad if grad_sum is None else grad_sum + grad
-                optimizer_step(state, grad_sum / t)
+                grad = grad_sum / t
+                if not np.all(np.isfinite(grad)):
+                    raise TrainingError("non-finite gradient; halting")
+                state.params -= (0.3 / epoch) * grad  # SGD at eta_s = 0.3 / s
             final = downstream_forward(full_prop, h, state, config)
             finals.append(final.ravel())
         stacked = np.vstack(finals)

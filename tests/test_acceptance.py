@@ -221,15 +221,14 @@ def test_criterion_08_gradient_checks():
             for v in range(u + 1, n):
                 if rng.random() < 0.5:
                     edges.add((u, v))
-        graphs.append(
-            data.InputGraph(
-                id=gid, edges=tuple(sorted(edges)),
-                node_features=rng.normal(size=(n, 3)), label=gid % 2,
-            )
-        )
+        graphs.append((sorted(edges), rng.normal(size=(n, 3))))
     ds = data.GraphDataset(
-        graphs=tuple(graphs), num_classes=2,
-        feature_scheme=data.DEGREE_ONEHOT, feature_dim=3,
+        node_features=np.concatenate([feats for _, feats in graphs]),
+        node_counts=[len(feats) for _, feats in graphs],
+        edges=np.array([e for edges, _ in graphs for e in edges]).reshape(-1, 2),
+        edge_counts=[len(edges) for edges, _ in graphs],
+        graph_labels=np.arange(3) % 2, num_classes=2,
+        feature_scheme=data.DEGREE_ONEHOT,
     )
     labels = ds.labels()
     labeled = np.arange(len(ds))

@@ -12,6 +12,19 @@ from samgog.encoder import EncoderConfig
 from samgog.similarity import build_prob_matrix
 
 
+def stack(graphs, node_labels=None):
+    """A two-class dataset from (local edges, node count, label) per graph,
+    with one all-zero feature column."""
+    edges = [np.array(e, dtype=np.int64).reshape(-1, 2) for e, _, _ in graphs]
+    sizes = [n for _, n, _ in graphs]
+    return data.GraphDataset(
+        node_features=np.zeros((sum(sizes), 1)), node_counts=sizes,
+        edges=np.concatenate(edges), edge_counts=[len(e) for e in edges],
+        graph_labels=[label for *_, label in graphs], num_classes=2,
+        feature_scheme=data.DEGREE_ONEHOT, node_labels=node_labels,
+    )
+
+
 def write_minimal_dataset(tmp_path, name="MINI"):
     """One 2-node graph with a single edge."""
     (tmp_path / f"{name}_A.txt").write_text("1, 2\n2, 1\n")
@@ -25,10 +38,9 @@ class TestParser:
         write_minimal_dataset(tmp_path)
         ds = data.parse_tudataset(str(tmp_path), "MINI")
         assert len(ds) == 1
-        g = ds.graphs[0]
-        assert g.size == 2
-        assert g.edges == ((0, 1),)
-        assert g.label == 0  # remapped to contiguous range
+        assert ds.node_counts.tolist() == [2]
+        assert ds.edges.tolist() == [[0, 1]]
+        assert ds.labels().tolist() == [0]  # remapped to contiguous range
 
     def test_missing_file_names_the_file(self, tmp_path):
         write_minimal_dataset(tmp_path)
@@ -48,14 +60,14 @@ class TestParser:
         (tmp_path / "W_graph_indicator.txt").write_bytes(b"1\r\n1\r\n")
         (tmp_path / "W_graph_labels.txt").write_bytes(b"5\r\n")
         ds = data.parse_tudataset(str(tmp_path), "W")
-        assert ds.graphs[0].edges == ((0, 1),)
+        assert ds.edges.tolist() == [[0, 1]]
 
     def test_labels_remap_contiguous(self, tmp_path):
         (tmp_path / "L_A.txt").write_text("1, 2\n3, 4\n")
         (tmp_path / "L_graph_indicator.txt").write_text("1\n1\n2\n2\n")
         (tmp_path / "L_graph_labels.txt").write_text("-1\n1\n")
         ds = data.parse_tudataset(str(tmp_path), "L")
-        assert [g.label for g in ds.graphs] == [0, 1]
+        assert ds.labels().tolist() == [0, 1]
         assert ds.num_classes == 2
 
     def test_graph_without_nodes_rejected(self, tmp_path):
@@ -64,61 +76,116 @@ class TestParser:
         (tmp_path / "E_graph_labels.txt").write_text("0\n1\n")
         with pytest.raises(data.IntegrityError, match="graph 1 has no nodes"):
             data.parse_tudataset(str(tmp_path), "E")
-        with pytest.raises(data.IntegrityError, match="graph 0 has no nodes"):
-            data.InputGraph(id=0, edges=(), node_features=np.zeros((0, 1)), label=0)
+        with pytest.raises(data.IntegrityError, match="graph 1 has no nodes"):
+            stack([((), 1, 0), ((), 0, 0)])
 
     def test_round_trip_reproduces_structure(self, tmp_path):
         rng = np.random.default_rng(7)
         graphs = []
-        for gid in range(10):
+        for _ in range(10):
             n = int(rng.integers(2, 9))
             edges = set()
             for u in range(n):
                 for v in range(u + 1, n):
                     if rng.random() < 0.4:
                         edges.add((u, v))
-            graphs.append(
-                data.InputGraph(
-                    id=gid,
-                    edges=tuple(sorted(edges)),
-                    node_features=np.zeros((n, 1)),
-                    label=int(rng.integers(0, 2)),
-                    node_labels=tuple(int(x) for x in rng.integers(0, 3, size=n)),
-                )
-            )
-        ds = data.GraphDataset(
-            graphs=tuple(graphs), num_classes=2,
-            feature_scheme=data.DEGREE_ONEHOT, feature_dim=1,
-        )
+            graphs.append((sorted(edges), n, int(rng.integers(0, 2))))
+        num_nodes = sum(n for _, n, _ in graphs)
+        ds = stack(graphs, node_labels=rng.integers(0, 3, size=num_nodes))
         data.write_tudataset(ds, str(tmp_path), "RT")
         parsed = data.parse_tudataset(str(tmp_path), "RT")
-        assert len(parsed) == len(ds)
-        for orig, back in zip(ds.graphs, parsed.graphs):
-            assert back.size == orig.size
-            assert back.edges == orig.edges
-            assert back.label == orig.label
-            assert back.node_labels == orig.node_labels
+        for name in ("node_counts", "edges", "edge_counts", "graph_labels",
+                     "node_labels"):
+            assert np.array_equal(getattr(parsed, name), getattr(ds, name)), name
 
     def test_round_trip_numbers_graphs_by_position(self, tmp_path):
-        # ids need not be positions: (1, 0) here
-        graphs = (
-            data.InputGraph(id=1, edges=((0, 1), (1, 2)),
-                            node_features=np.zeros((3, 1)), label=1),
-            data.InputGraph(id=0, edges=((0, 1),),
-                            node_features=np.zeros((2, 1)), label=0),
-        )
-        ds = data.GraphDataset(graphs=graphs, num_classes=2,
-                               feature_scheme=data.DEGREE_ONEHOT, feature_dim=1)
+        ds = stack([([(0, 1), (1, 2)], 3, 1), ([(0, 1)], 2, 0)])
         data.write_tudataset(ds, str(tmp_path), "ID")
         parsed = data.parse_tudataset(str(tmp_path), "ID")
-        assert [g.size for g in parsed.graphs] == [3, 2]
-        assert [g.label for g in parsed.graphs] == [1, 0]
-        assert [g.edges for g in parsed.graphs] == [((0, 1), (1, 2)), ((0, 1),)]
+        assert parsed.node_counts.tolist() == [3, 2]
+        assert parsed.labels().tolist() == [1, 0]
+        assert parsed.edges.tolist() == [[0, 1], [1, 2], [0, 1]]
+        assert parsed.edge_counts.tolist() == [2, 1]
+
+    def test_parse_write_parse_keeps_the_stacked_arrays(self, tmp_path):
+        # interleaved graph ids, unsorted and repeated edges, a self-loop and
+        # a one-node graph: the first parse canonicalizes, the second repeats it
+        (tmp_path / "S_A.txt").write_text("5, 1\n1, 5\n3, 5\n4, 2\n2, 4\n6, 6\n")
+        (tmp_path / "S_graph_indicator.txt").write_text("1\n2\n1\n2\n1\n2\n3\n")
+        (tmp_path / "S_graph_labels.txt").write_text("7\n-2\n7\n")
+        (tmp_path / "S_node_labels.txt").write_text("0\n1\n2\n1\n0\n2\n5\n")
+        first = data.parse_tudataset(str(tmp_path), "S")
+        assert first.node_counts.tolist() == [3, 3, 1]
+        assert first.edges.tolist() == [[0, 2], [1, 2], [0, 1], [2, 2]]
+        assert first.edge_counts.tolist() == [2, 2, 0]
+        assert first.labels().tolist() == [1, 0, 1]
+        assert first.node_labels.tolist() == [0, 2, 0, 1, 1, 2, 5]
+        data.write_tudataset(first, str(tmp_path / "out"), "S")
+        second = data.parse_tudataset(str(tmp_path / "out"), "S")
+        for name in ("node_features", "node_counts", "edges", "edge_counts",
+                     "graph_labels", "node_labels", "node_offsets"):
+            assert np.array_equal(getattr(second, name), getattr(first, name)), name
+        assert (second.num_classes, second.feature_scheme, second.feature_dim) == (
+            first.num_classes, first.feature_scheme, first.feature_dim
+        )
+
+    def test_unlabeled_graph_is_not_written(self, tmp_path):
+        ds = stack([((), 1, 0), ((), 1, -1)])
+        with pytest.raises(data.DatasetError, match="graph 1 has no label"):
+            data.write_tudataset(ds, str(tmp_path), "U")
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(graph_labels=[0, 2]), r"graph 1: label 2 out of range"),
+        (dict(graph_labels=[-2, 0]), r"graph 0: label -2 out of range"),
+        (dict(node_labels=[1, 2]), r"2 node labels for 3 nodes"),
+        (dict(node_features=np.ones((4, 2))), r"node features of shape \(4, 2\)"),
+        (dict(node_features=np.ones(3)), r"node features of shape \(3,\)"),
+        (dict(edge_counts=[1, 1]), r"2 edge counts .* edges of shape \(1, 2\)"),
+        (dict(edge_counts=[-1, 2]), r"2 edge counts .* edges of shape \(1, 2\)"),
+        (dict(edges=[[0, 1, 1]], edge_counts=[0, 1]), r"edges of shape \(1, 3\)"),
+        (dict(graph_labels=[0]), r"and 1 labels do not match"),
+    ],
+)
+def test_inconsistent_arrays_rejected_by_name(change, message):
+    arrays = dict(
+        node_features=np.ones((3, 2)), node_counts=[1, 2], edges=[[0, 1]],
+        edge_counts=[0, 1], graph_labels=[0, 1], num_classes=2,
+        feature_scheme=data.PLANTED_GAUSSIAN,
+    )
+    data.GraphDataset(**arrays)
+    with pytest.raises(data.IntegrityError, match=message):
+        data.GraphDataset(**{**arrays, **change})
+
+
+def test_stored_arrays_are_read_only():
+    features = np.ones((3, 2))
+    ds = data.GraphDataset(
+        node_features=features, node_counts=[1, 2], edges=[[0, 1]],
+        edge_counts=[0, 1], graph_labels=[0, 1], num_classes=2,
+        feature_scheme=data.PLANTED_GAUSSIAN, node_labels=[4, 5, 6],
+    )
+    for name in ("node_features", "node_counts", "edges", "edge_counts",
+                 "graph_labels", "node_labels", "node_offsets"):
+        array = getattr(ds, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # the dataset holds copies, and hands out fresh label and size arrays
+    features[0, 0] = 9.0
+    assert ds.node_features[0, 0] == 1.0
+    for fresh in (ds.labels(), ds.sizes()):
+        fresh[0] = 7
+    assert ds.graph_labels[0] == 0 and ds.node_counts[0] == 1
 
 
 def check_edges_one_by_one(graph_id, edges, n):
-    """The per-edge check InputGraph ran on every input before its one-pass
-    accept, kept as the oracle for the first bad edge and its message."""
+    """The per-edge check each graph ran on its input before the dataset
+    checked every edge at once, kept as the oracle for the first bad edge
+    and its message."""
     seen = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -130,7 +197,14 @@ def check_edges_one_by_one(graph_id, edges, n):
         seen.add((u, v))
 
 
+def graph_seven(edges, n):
+    """Seven one-node graphs, then an n-node graph with ``edges``: graph 7."""
+    return stack([((), 1, 0)] * 7 + [(edges, n, 0)])
+
+
 class TestInputGraph:
+    """The dataset constructor's check of each input graph's edges."""
+
     @pytest.mark.parametrize(
         "edges, message",
         [
@@ -142,7 +216,7 @@ class TestInputGraph:
     )
     def test_bad_edge_names_graph_and_edge(self, edges, message):
         with pytest.raises(data.IntegrityError, match=message):
-            data.InputGraph(id=7, edges=edges, node_features=np.ones((3, 1)), label=0)
+            graph_seven(edges, 3)
 
 
     @given(
@@ -160,12 +234,12 @@ class TestInputGraph:
             check_edges_one_by_one(7, edges, n)
         except data.IntegrityError as expected:
             with pytest.raises(data.IntegrityError) as raised:
-                data.InputGraph(id=7, edges=edges, node_features=np.ones((n, 1)), label=0)
+                graph_seven(edges, n)
             assert type(raised.value) is type(expected)
             assert str(raised.value) == str(expected)
         else:
-            g = data.InputGraph(id=7, edges=edges, node_features=np.ones((n, 1)), label=0)
-            assert g.edges == edges
+            ds = graph_seven(edges, n)
+            assert ds.edges.tolist() == [list(e) for e in edges]
 
 
 @pytest.mark.parametrize("low, high", [(10, 5), (-1, 4), (0, 4), (0, 0)])
@@ -224,19 +298,28 @@ class TestPlantedDataset:
         ds = data.make_planted_dataset(num_graphs=40, seed=seed, **kwargs)
         oracle = planted_one_pair_at_a_time(40, seed, **kwargs)
         assert len(ds) == len(oracle)
-        for g, (gid, label, edges, feats) in zip(ds.graphs, oracle):
-            assert (g.id, g.label, g.edges) == (gid, label, edges)
-            assert all(type(u) is int and type(v) is int for u, v in g.edges)
-            assert g.node_features.tobytes() == feats.tobytes()
+        assert ds.labels().tolist() == [label for _, label, _, _ in oracle]
+        assert ds.node_counts.tolist() == [len(feats) for *_, feats in oracle]
+        assert ds.edge_counts.tolist() == [len(edges) for _, _, edges, _ in oracle]
+        assert ds.edges.tolist() == [
+            list(e) for _, _, edges, _ in oracle for e in edges
+        ]
+        assert ds.node_features.tobytes() == b"".join(
+            feats.tobytes() for *_, feats in oracle
+        )
 
     def test_scale_dataset_keeps_its_bytes(self):
-        # digest recorded from the one-call-per-pair generator
+        # digest recorded from the one-call-per-pair generator, which hashed
+        # each graph's (id, label, size, edge count), edges and features
         ds = data.make_planted_dataset(num_graphs=2000, seed=7, noise=0.5)
         h = hashlib.sha256()
-        for g in ds.graphs:
-            h.update(np.array([g.id, g.label, g.size, len(g.edges)], dtype=np.int64).tobytes())
-            h.update(np.array(g.edges, dtype=np.int64).reshape(-1, 2).tobytes())
-            h.update(g.node_features.tobytes())
+        edge_offsets = np.cumsum(ds.edge_counts) - ds.edge_counts
+        for g in range(len(ds)):
+            n, e = ds.node_counts[g], ds.edge_counts[g]
+            h.update(np.array([g, ds.graph_labels[g], n, e], dtype=np.int64).tobytes())
+            h.update(ds.edges[edge_offsets[g]:edge_offsets[g] + e].tobytes())
+            o = ds.node_offsets[g]
+            h.update(ds.node_features[o:o + n].tobytes())
         assert h.hexdigest() == (
             "fec5441ae19797118b148454e3058709c4e0eb6d923a74e37e54a46ce836b5cc"
         )
@@ -250,7 +333,7 @@ class TestFeatures:
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[2, 1] = 1.0  # endpoints: degree 1
         expected[1, 2] = 1.0  # middle: degree 2
-        assert np.array_equal(built.graphs[0].node_features, expected)
+        assert np.array_equal(built.node_features, expected)
 
     def test_node_label_onehot_dim_counts_distinct_labels(self, tmp_path):
         write_minimal_dataset(tmp_path)
@@ -259,7 +342,7 @@ class TestFeatures:
         assert ds.feature_scheme == data.NODE_LABEL_ONEHOT
         assert ds.feature_dim == 2
         assert np.array_equal(
-            ds.graphs[0].node_features, np.array([[1.0, 0.0], [0.0, 1.0]])
+            ds.node_features, np.array([[1.0, 0.0], [0.0, 1.0]])
         )
 
     def test_node_label_scheme_without_labels_rejected(self):
@@ -268,19 +351,10 @@ class TestFeatures:
             data.build_features(ds, data.NODE_LABEL_ONEHOT)
 
     def test_degree_cap_clamps(self):
-        star = data.InputGraph(
-            id=0,
-            edges=tuple((0, i) for i in range(1, 8)),
-            node_features=np.zeros((8, 1)),
-            label=0,
-        )
-        ds = data.GraphDataset(
-            graphs=(star,), num_classes=2,
-            feature_scheme=data.DEGREE_ONEHOT, feature_dim=1,
-        )
+        ds = stack([([(0, i) for i in range(1, 8)], 8, 0)])
         built = data.build_features(ds, data.DEGREE_ONEHOT, degree_cap=3)
         assert built.feature_dim == 4
-        assert built.graphs[0].node_features[0, 3] == 1.0  # degree 7 clamped
+        assert built.node_features[0, 3] == 1.0  # degree 7 clamped
 
     def test_negative_degree_cap_rejected(self):
         ds = data.make_path_graph_dataset([3, 4], labels=[0, 1])
@@ -292,10 +366,9 @@ class TestFeatures:
     def test_feature_rows_are_exact_onehot(self, n, seed):
         ds = data.make_planted_dataset(num_graphs=n, seed=seed, min_nodes=2, max_nodes=7)
         built = data.build_features(ds, data.DEGREE_ONEHOT)
-        for g in built.graphs:
-            feats = g.node_features
-            assert np.all(feats.sum(axis=1) == 1.0)
-            assert np.all((feats == 0.0) | (feats == 1.0))
+        feats = built.node_features
+        assert np.all(feats.sum(axis=1) == 1.0)
+        assert np.all((feats == 0.0) | (feats == 1.0))
 
 
 class TestRatios:

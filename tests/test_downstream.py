@@ -204,6 +204,20 @@ class TestComputeMetrics:
         with pytest.raises(ValueError):
             ds_mod.compute_metrics(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize(
+        "pred, true, message",
+        [
+            # an unlabeled graph used to count as a miss: accuracy 0.667 but
+            # balanced accuracy 1.0
+            ([0, 1, 1], [0, 1, -1], r"label -1 outside \[0, 2\)"),
+            ([0, 2, 1], [0, 1, 1], r"prediction 2 outside \[0, 2\)"),
+            ([0, -1, 1], [0, 1, 1], r"prediction -1 outside \[0, 2\)"),
+        ],
+    )
+    def test_class_outside_range_rejected(self, pred, true, message):
+        with pytest.raises(ValueError, match=message):
+            ds_mod.compute_metrics(np.array(pred), np.array(true), num_classes=2)
+
 
 def per_class_loop_metrics(
     predictions, true_labels, head_idx=None, tail_idx=None, num_classes=None
@@ -251,14 +265,12 @@ def per_class_loop_metrics(
 
 @st.composite
 def scored_predictions(draw):
-    """Predictions in [0, c), labels in [-1, c) (-1: an unlabeled graph),
-    some classes absent, optional head/tail position lists and class count."""
+    """Predictions and labels in [0, c), some classes absent, optional
+    head/tail position lists and class count."""
     c = draw(st.integers(1, 4))
     n = draw(st.integers(1, 30))
     present = draw(st.lists(st.integers(0, c - 1), min_size=1, unique=True))
-    true = draw(st.lists(st.sampled_from([-1, *present]), min_size=n, max_size=n))
-    if all(t < 0 for t in true):
-        true[0] = present[0]  # a class-less label set has no balanced accuracy
+    true = draw(st.lists(st.sampled_from(present), min_size=n, max_size=n))
     pred = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
     positions = st.none() | st.lists(st.integers(0, n - 1), max_size=n)
     num_classes = draw(st.sampled_from([None, c]))
@@ -338,17 +350,10 @@ class TestFullPipeline:
     def test_test_labels_cannot_influence_training(self):
         base = data.make_planted_dataset(num_graphs=30, seed=11, noise=0.8)
         split = data.make_class_imbalanced_split(base, 1.0, 0.5, 0.25, seed=12)
-        flipped_graphs = list(base.graphs)
-        for i in split.test_idx:
-            g = flipped_graphs[i]
-            flipped_graphs[i] = data.InputGraph(
-                id=g.id, edges=g.edges, node_features=g.node_features,
-                label=1 - g.label, node_labels=g.node_labels,
-            )
-        flipped = data.GraphDataset(
-            graphs=tuple(flipped_graphs), num_classes=2,
-            feature_scheme=base.feature_scheme, feature_dim=base.feature_dim,
-        )
+        labels = base.labels()
+        test = list(split.test_idx)
+        labels[test] = 1 - labels[test]
+        flipped = dataclasses.replace(base, graph_labels=labels)
         a = ds_mod.train_full_pipeline(
             base, split, epochs=6, seed=13, **pipeline_configs()
         )
@@ -516,6 +521,24 @@ def test_encoder_baseline_reports_head_and_tail_accuracy():
     assert report.head_accuracy == sum(correct[head_test]) / len(head_test)
     assert report.tail_accuracy == sum(correct[tail_test]) / len(tail_test)
     assert math.isnan(report.edge_homophily_mean)
+
+
+@pytest.mark.parametrize("part", ["val", "test"])
+@pytest.mark.parametrize("trainer", ["pipeline", "baseline"])
+def test_unlabeled_scored_graph_rejected_by_position(part, trainer):
+    base = data.make_planted_dataset(num_graphs=20, seed=14, noise=0.5)
+    split = data.make_class_imbalanced_split(base, 1.0, 0.5, 0.25, seed=15)
+    unlabeled = getattr(split, f"{part}_idx")[1]
+    labels = base.labels()
+    labels[unlabeled] = -1
+    ds = dataclasses.replace(base, graph_labels=labels)
+    with pytest.raises(data.SplitError, match=f"{part} index {unlabeled} has no label"):
+        if trainer == "pipeline":
+            ds_mod.train_full_pipeline(
+                ds, split, epochs=1, seed=16, **pipeline_configs()
+            )
+        else:
+            ds_mod.train_encoder_baseline(ds, split, EncoderConfig(), epochs=1, seed=16)
 
 
 def test_encoder_baseline_rejects_empty_train_set():

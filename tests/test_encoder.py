@@ -48,6 +48,25 @@ def dense_blocks(ds, op):
     return [dense[e - n : e, e - n : e] for e, n in zip(ends, ds.sizes())]
 
 
+def stack(graphs):
+    """A two-class dataset from (local edges, node features, label) per graph."""
+    edges = [np.array(e, dtype=np.int64).reshape(-1, 2) for e, _, _ in graphs]
+    return data.GraphDataset(
+        node_features=np.concatenate([f for _, f, _ in graphs]),
+        node_counts=[len(f) for _, f, _ in graphs],
+        edges=np.concatenate(edges), edge_counts=[len(e) for e in edges],
+        graph_labels=[label for *_, label in graphs], num_classes=2,
+        feature_scheme=data.DEGREE_ONEHOT,
+    )
+
+
+def graph(ds, g):
+    """Graph g's node features and local edge list."""
+    first_node, first_edge = ds.node_offsets[g], ds.edge_counts[:g].sum()
+    return (ds.node_features[first_node:first_node + ds.node_counts[g]],
+            ds.edges[first_edge:first_edge + ds.edge_counts[g]].tolist())
+
+
 def tiny_dataset(num_graphs=3, feature_dim=3, seed=0):
     rng = np.random.default_rng(seed)
     graphs = []
@@ -58,18 +77,8 @@ def tiny_dataset(num_graphs=3, feature_dim=3, seed=0):
             for v in range(u + 1, n):
                 if rng.random() < 0.5:
                     edges.add((u, v))
-        graphs.append(
-            data.InputGraph(
-                id=gid,
-                edges=tuple(sorted(edges)),
-                node_features=rng.normal(size=(n, feature_dim)),
-                label=gid % 2,
-            )
-        )
-    return data.GraphDataset(
-        graphs=tuple(graphs), num_classes=2,
-        feature_scheme=data.DEGREE_ONEHOT, feature_dim=feature_dim,
-    )
+        graphs.append((sorted(edges), rng.normal(size=(n, feature_dim)), gid % 2))
+    return stack(graphs)
 
 
 class TestGcnLayer:
@@ -142,18 +151,8 @@ class TestGinLayer:
 
 class TestEncodeDataset:
     def test_identical_graphs_identical_rows(self):
-        g = data.InputGraph(
-            id=0, edges=((0, 1), (1, 2)),
-            node_features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-            label=0,
-        )
-        graphs = tuple(
-            data.InputGraph(id=i, edges=g.edges, node_features=g.node_features.copy(),
-                            label=i % 2)
-            for i in range(4)
-        )
-        ds = data.GraphDataset(graphs=graphs, num_classes=2,
-                               feature_scheme=data.DEGREE_ONEHOT, feature_dim=2)
+        feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        ds = stack([([(0, 1), (1, 2)], feats, i % 2) for i in range(4)])
         config = enc.EncoderConfig(hidden_dim=5)
         state = enc.init_encoder_state(ds, config, seed=3)
         h, logits = enc.encode_dataset(ds, config, state)
@@ -177,10 +176,10 @@ class TestEncodeDataset:
         state = enc.init_encoder_state(ds, config, seed=11)
         views = state.views()
         h, logits = enc.encode_dataset(ds, config, state)
-        for gi, g in enumerate(ds.graphs):
-            x = g.node_features
-            x = enc.gcn_layer_forward(x, g.edges, views["layer1.W"])
-            x = enc.gcn_layer_forward(x, g.edges, views["layer2.W"])
+        for gi in range(len(ds)):
+            x, edges = graph(ds, gi)
+            x = enc.gcn_layer_forward(x, edges, views["layer1.W"])
+            x = enc.gcn_layer_forward(x, edges, views["layer2.W"])
             h_row = x.mean(axis=0)
             assert np.allclose(h[gi], h_row, atol=1e-12)
             z = np.maximum(h_row @ views["head.W1"] + views["head.b1"], 0.0)
@@ -194,11 +193,11 @@ class TestEncodeDataset:
         state = enc.init_encoder_state(ds, config, seed=11)
         views = state.views()
         h, logits = enc.encode_dataset(ds, config, state)
-        for gi, g in enumerate(ds.graphs):
-            x = g.node_features
+        for gi in range(len(ds)):
+            x, edges = graph(ds, gi)
             for layer in (1, 2):
                 mlp = tuple(views[f"layer{layer}.{k}"] for k in ("W1", "b1", "W2", "b2"))
-                x = enc.gin_layer_forward(x, g.edges, mlp, 0.3)
+                x = enc.gin_layer_forward(x, edges, mlp, 0.3)
             h_row = x.mean(axis=0)
             assert np.allclose(h[gi], h_row, atol=1e-12)
             z = np.maximum(h_row @ views["head.W1"] + views["head.b1"], 0.0)
@@ -211,9 +210,9 @@ class TestEncodeDataset:
         state = enc.init_encoder_state(ds, config, seed=2)
         views = state.views()
         h, _ = enc.encode_dataset(ds, config, state)
-        g = ds.graphs[0]
-        x = enc.gcn_layer_forward(g.node_features, g.edges, views["layer1.W"])
-        x = enc.gcn_layer_forward(x, g.edges, views["layer2.W"])
+        x, edges = graph(ds, 0)
+        x = enc.gcn_layer_forward(x, edges, views["layer1.W"])
+        x = enc.gcn_layer_forward(x, edges, views["layer2.W"])
         assert np.allclose(h[0], x.sum(axis=0), atol=1e-12)
 
     def test_permutation_invariant_readout(self):
@@ -226,11 +225,7 @@ class TestEncodeDataset:
         permuted_edges = tuple(
             (min(inv[u], inv[v]), max(inv[u], inv[v])) for u, v in edges
         )
-        g1 = data.InputGraph(id=0, edges=edges, node_features=feats, label=0)
-        g2 = data.InputGraph(id=1, edges=tuple(sorted(permuted_edges)),
-                             node_features=feats[perm], label=0)
-        ds = data.GraphDataset(graphs=(g1, g2), num_classes=2,
-                               feature_scheme=data.DEGREE_ONEHOT, feature_dim=3)
+        ds = stack([(edges, feats, 0), (sorted(permuted_edges), feats[perm], 0)])
         for arch in (enc.ARCH_GCN, enc.ARCH_GIN):
             config = enc.EncoderConfig(arch=arch, hidden_dim=4)
             state = enc.init_encoder_state(ds, config, seed=13)
@@ -327,13 +322,7 @@ class TestOperators:
         feats = np.random.default_rng(3).normal(size=(4, 2))
         edges = ((0, 1), (1, 2), (2, 3))
         looped = ((0, 0), (0, 1), (1, 2), (2, 2), (2, 3))
-        ds = data.GraphDataset(
-            graphs=(
-                data.InputGraph(id=0, edges=edges, node_features=feats, label=0),
-                data.InputGraph(id=1, edges=looped, node_features=feats, label=1),
-            ),
-            num_classes=2, feature_scheme=data.DEGREE_ONEHOT, feature_dim=2,
-        )
+        ds = stack([(edges, feats, 0), (looped, feats, 1)])
         op = enc.build_operators(ds, enc.EncoderConfig(arch=arch))
         plain, with_loops = dense_blocks(ds, op)
         assert np.array_equal(plain, with_loops)

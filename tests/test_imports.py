@@ -32,7 +32,7 @@ def test_module_imports_alone(module):
 # every public name ``import samgog`` gives, submodules aside
 EXPORTS = {
     "AllocConfig", "DegreeAllocation", "EncoderConfig", "FactorSimilarity",
-    "GoGClassifierConfig", "GoGGraph", "GraphDataset", "InputGraph",
+    "GoGClassifierConfig", "GoGGraph", "GraphDataset",
     "MetricsReport", "PipelineResult", "SamplerConfig", "SplitSpec",
     "allocate_degrees", "build_features", "build_prob_matrix",
     "compute_class_imbalance_ratio", "compute_metrics",
@@ -67,11 +67,8 @@ TRAINER_PARAMETERS = {
     ("samgog.encoder", "init_encoder_state"): (
         "dataset", "config", "seed", "learning_rate",
     ),
-    # theory's variance check trains the downstream model with SGD at an
-    # inverse rate
     ("samgog.downstream", "init_downstream_state"): (
-        "in_dim", "num_classes", "config", "seed", "optimizer", "learning_rate",
-        "schedule",
+        "in_dim", "num_classes", "config", "seed", "learning_rate",
     ),
 }
 
