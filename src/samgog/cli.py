@@ -34,12 +34,7 @@ from .downstream import CurvePoint, MetricsReport, PipelineResult, train_full_pi
 from .encoder import encode_dataset, init_encoder_state
 from .rng import mix
 from .sampler import WITH_REPLACEMENT, GoGSampler, SamplerConfig, dump_gog, edge_homophily
-from .similarity import (
-    SimilarityMatrix,
-    build_prob_matrix,
-    expected_homophily,
-    similarity_matrix,
-)
+from .similarity import build_prob_matrix, expected_homophily, similarity_matrix
 
 METRIC_COLUMNS = (
     "run",
@@ -193,10 +188,7 @@ def emit_homophily_sweep(
     train_mask = np.zeros(len(dataset), dtype=bool)
     train_mask[list(split.train_idx)] = True
     prob = build_prob_matrix(logits, labels, train_mask)  # reads train labels only
-    # the with-replacement sampler and the closed form both read the dense S:
-    # build it once for the whole sweep
-    sim = SimilarityMatrix(S=similarity_matrix(prob, zero_diagonal=True).S,
-                           diagonal_zeroed=True)
+    sim = similarity_matrix(prob, zero_diagonal=True)
 
     path = os.path.join(out_dir, "homophily_sweep.csv")
     with open(path, "w") as f:

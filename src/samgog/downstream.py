@@ -432,6 +432,9 @@ def train_full_pipeline(
                 else float("nan"),
             )
         )
+        # with replacement a sampler holds N x N CDFs: free this epoch's
+        # before the next is prepared
+        del sampler
 
     # restore the selected parameters and evaluate on test indices
     enc_state.params[...] = best["encoder"]

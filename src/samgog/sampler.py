@@ -4,21 +4,24 @@ matrix under a fixed degree allocation.
 Two modes: with-replacement draws k_i independent neighbors per node from
 the categorical distribution S[i, .] / sum(S[i, .]) and records duplicates
 as edge multiplicity, which makes expected edge counts exactly
-k_i * S[i, j] / sum_m S[i, m], from row CDFs built once per sampler out of
-the dense S.  Each draw's constants (its node's key id, its counter, its
-row's CDF offset and last positive column) are prepared once with the CDFs,
-so a sample keys, searches and counts only its sum(k) draws.
+k_i * S[i, j] / sum_m S[i, m].  Its row CDFs and each draw's constants (its
+node's key id, its counter, its row's CDF offset and last positive column)
+are prepared once, so a sample keys, searches and counts only its draws.
 Without-replacement draws k_i distinct neighbors by perturbed keys
 (log(u) / w order statistics, Efraimidis & Spirakis 2006): a row-wise
 partition of the keys gives every row's k_i-th largest key, and the row
 keeps the keys at or above it, read in column order.  Where keys tie at that
 threshold, the row keeps the first k_i columns of a stable descending key
-order over its positive weights.  That mode streams the similarity in row
-blocks of about ``_BLOCK_BYTES`` (``rows(r0, r1)`` of the factor form), so
-it never holds an N x N array; each row's keys and threshold are those of
-the whole matrix, so blocking leaves the edges as they are.  The blocks of one draw, and of the preparation pass that counts
-each row's mass and support, are spread over the usable CPUs, as many as
-a fixed budget for the blocks in flight allows: the caller's thread and
+order over its positive weights.
+
+The similarity is read only in row blocks of about ``_BLOCK_BYTES``
+(``rows(r0, r1)`` of the factor form), never as a dense S.  One preparation
+pass serves both modes: it counts each row's mass and support and, with
+replacement, writes the row's CDF.  A without-replacement draw streams the
+blocks again, so that mode holds no N x N array; each row's keys and
+threshold are those of the whole matrix, so blocking leaves the edges as
+they are.  The blocks of one pass are spread over the usable CPUs, as many
+as a fixed budget for the blocks in flight allows: the caller's thread and
 threads made for that call alone pull whole blocks from one queue, and each
 block writes only its own rows; the call joins its threads before it
 returns.  The block boundaries stay fixed, because the bits of a ``rows``
@@ -45,14 +48,15 @@ logger = logging.getLogger(__name__)
 
 WITH_REPLACEMENT = "with-replacement"
 WITHOUT_REPLACEMENT = "without-replacement"
+_MODES = (WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
 
-# bytes of one float64 block of similarity rows in the without-replacement
-# draw (2**16 entries); a block holds at least one row.  Each thread of the
-# draw works on a few block-sized arrays (see _INFLIGHT_BYTES), and at
-# N = 2000-4000 a sample took 30% less time with 512 KiB blocks than with
-# 1 MiB ones.  Threads share out whole blocks and never split one: a block
-# product P[r0:r1] P^T can differ in the last bit when its rows change, so
-# the boundaries fix the edges.
+# bytes of one float64 block of similarity rows in the preparation pass and
+# the without-replacement draw (2**16 entries); a block holds at least one
+# row.  Each thread works on a few block-sized arrays (see _INFLIGHT_BYTES),
+# and at N = 2000-4000 a sample took 30% less time with 512 KiB blocks than
+# with 1 MiB ones.  Threads share out whole blocks and never split one: a
+# block product P[r0:r1] P^T can differ in the last bit when its rows change,
+# so the boundaries fix the edges.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -138,7 +142,7 @@ class SamplerConfig:
     samples_per_epoch: int = 1
 
     def __post_init__(self):
-        if self.mode not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
+        if self.mode not in _MODES:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if self.samples_per_epoch < 1:
             raise ValueError("samples_per_epoch must be >= 1")
@@ -152,6 +156,8 @@ class GoGGraph:
     stream_key: int = 0
 
     def __post_init__(self):
+        if self.mode not in _MODES:
+            raise ValueError(f"unknown sampling mode {self.mode!r}")
         e = self.edges
         if not (
             isinstance(e, np.ndarray) and e.ndim == 2 and e.shape[1] == 3
@@ -190,9 +196,9 @@ class GoGGraph:
 
 class GoGSampler:
     """Prepared sampler over one similarity and allocation; reuse it when
-    drawing many GoGs.  With-replacement mode builds its row CDFs once from
-    the dense S; without-replacement mode keeps only each node's degree
-    clamped to its support and reads the similarity block by block."""
+    drawing many GoGs.  One pass over the similarity's row blocks prepares
+    either mode: with replacement it keeps every row's CDF (one N x N array);
+    without replacement, each node's degree clamped to its support."""
 
     def __init__(
         self,
@@ -207,21 +213,29 @@ class GoGSampler:
             raise ValueError("cannot sample a GoG from an empty similarity (0 nodes)")
         if allocation.k.shape != (n,):
             raise ValueError("allocation length does not match similarity matrix")
-        if config.mode == WITH_REPLACEMENT:
-            s = sim.S
-            row_sums = s.sum(axis=1)
-        else:
-            row_sums = np.empty(n)
-            support = np.empty(n, dtype=np.int64)
+        with_replacement = config.mode == WITH_REPLACEMENT
+        row_sums = np.empty(n)
+        support = np.empty(n, dtype=np.int64)
+        # with replacement: row CDFs shifted by their row index, for one search
+        # over all rows, and each row's last positive column, to clip roundoff
+        cdf = np.empty((n if with_replacement else 0, n))
+        last_positive = np.empty(n, dtype=np.int64)
 
-            def prepare(blocks):
-                buf = np.empty((_block_rows(n), n))
-                for r0, r1 in blocks:
-                    w = sim.rows(r0, r1, out=buf[: r1 - r0])
-                    row_sums[r0:r1] = w.sum(axis=1)
-                    support[r0:r1] = (w > 0.0).sum(axis=1)
+        def prepare(blocks):
+            buf = np.empty((_block_rows(n), n))
+            for r0, r1 in blocks:
+                w = sim.rows(r0, r1, out=buf[: r1 - r0])
+                w.sum(axis=1, out=row_sums[r0:r1])
+                positive = w > 0.0
+                positive.sum(axis=1, out=support[r0:r1])
+                if with_replacement:
+                    last_positive[r0:r1] = n - 1 - positive[:, ::-1].argmax(axis=1)
+                    block = w.cumsum(axis=1, out=cdf[r0:r1])
+                    with np.errstate(all="ignore"):  # a massless row raises below
+                        block /= row_sums[r0:r1, None]
+                    block += np.arange(r0, r1)[:, None]
 
-            _map_blocks(n, prepare)
+        _map_blocks(n, prepare)
         if (row_sums <= 0.0).any():
             bad = int(np.nonzero(row_sums <= 0.0)[0][0])
             raise DegenerateRowError(
@@ -231,7 +245,7 @@ class GoGSampler:
         self.num_nodes = n
         k = allocation.k.astype(np.int64)
 
-        if config.mode == WITHOUT_REPLACEMENT:
+        if not with_replacement:
             self.sim = sim
             self._node_ids = np.arange(n, dtype=np.uint64)
             short = int(np.count_nonzero(k > support))
@@ -244,15 +258,7 @@ class GoGSampler:
             self.k_effective = np.minimum(k, support)
             return
 
-        # flattened per-row CDFs shifted by the row index, enabling a single
-        # searchsorted call across all nodes.  Per draw, prepared here once:
-        # its node's key id, its counter within the node, the row offset that
-        # shifts its uniform onto that row's CDF, and the flat index of the
-        # row's last positive-mass column, which clips overflow from float
-        # roundoff back into the row.
-        cdf = np.cumsum(s, axis=1) / row_sums[:, None]
-        self._flat_cdf = (cdf + np.arange(n)[:, None]).ravel()
-        last_positive = n - 1 - np.argmax(s[:, ::-1] > 0.0, axis=1)
+        self._flat_cdf = cdf.ravel()
         draw_node = np.repeat(np.arange(n), k)
         first_draw = np.cumsum(k) - k
         self._draw_ids = draw_node.astype(np.uint64)

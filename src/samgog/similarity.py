@@ -137,6 +137,11 @@ def homophily_prob_all(sim: Similarity, true_labels: np.ndarray) -> np.ndarray:
     """Per node, the similarity-weighted probability that a neighbor shares
     its label."""
     labels = np.asarray(true_labels)
+    if labels.shape != (sim.num_nodes,):
+        raise ValueError(
+            f"homophily needs one label per similarity node: got labels of "
+            f"shape {labels.shape} for {sim.num_nodes} nodes"
+        )
     s = sim.S
     totals = s.sum(axis=1)
     if np.any(totals <= 0.0):
@@ -151,6 +156,13 @@ def expected_homophily(
 ) -> float:
     """Degree-weighted mean homophily probability: the exact expectation of
     edge homophily under with-replacement sampling."""
-    prob = homophily_prob_all(sim, true_labels)
     k = np.asarray(allocation.k, dtype=np.float64)
+    if k.shape != (sim.num_nodes,):
+        raise ValueError(
+            f"expected homophily needs one degree per similarity node: got an "
+            f"allocation of shape {k.shape} for {sim.num_nodes} nodes"
+        )
+    if not k.any():
+        raise ValueError("expected homophily is undefined for an all-zero allocation")
+    prob = homophily_prob_all(sim, true_labels)
     return float((k * prob).sum() / k.sum())

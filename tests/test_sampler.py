@@ -118,6 +118,18 @@ class TestSampleGoG:
         with pytest.raises(DegenerateRowError, match="node 3"):
             sp.GoGSampler(sim, alloc, sp.SamplerConfig(seed=0)).sample(0)
 
+    @pytest.mark.parametrize("blocks", ["one block", "few rows"])
+    def test_degenerate_row_names_node_with_replacement(self, blocks):
+        # the row's CDF is divided by its zero mass before the check, with no
+        # warning; a row in a later block still names the lowest node
+        sim = random_similarity(9, seed=6, zero_rows=(3, 7))
+        alloc = DegreeAllocation(k=np.full(9, 2), total=18)
+        config = sp.SamplerConfig(mode=sp.WITH_REPLACEMENT, seed=0)
+        rows = 2 if blocks == "few rows" else 9
+        with few_rows(9, rows=rows), mock.patch.object(sp, "_WORKERS", 3):
+            with pytest.raises(DegenerateRowError, match="node 3"):
+                sp.GoGSampler(sim, alloc, config)
+
     def test_unzeroed_diagonal_rejected(self):
         s = np.array([[1.0, 0.5], [0.5, 1.0]])
         sim = SimilarityMatrix(S=s, diagonal_zeroed=False)
@@ -420,10 +432,10 @@ def square_array_fixture(n):
     return similarity_matrix(prob), alloc
 
 
-def traced_draw(sim, alloc):
-    """The edges of one without-replacement draw and the peak traced bytes
-    of building the sampler and drawing."""
-    config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=3)
+def traced_draw(sim, alloc, mode=sp.WITHOUT_REPLACEMENT):
+    """The edges of one draw and the peak traced bytes of building the
+    sampler and drawing."""
+    config = sp.SamplerConfig(mode=mode, seed=3)
     tracemalloc.start()
     try:
         gog = sp.GoGSampler(sim, alloc, config).sample(0)
@@ -439,6 +451,15 @@ def test_without_replacement_holds_no_square_array():
     gog, peak = traced_draw(sim, alloc)
     assert np.array_equal(gog.out_degrees(), alloc.k)
     assert peak < n * n * 8 / 4  # a quarter of one N x N float64 array
+
+
+def test_with_replacement_holds_one_square_array():
+    # the row CDFs are the one N x N array; the similarity is read in blocks
+    n = 3000
+    sim, alloc = square_array_fixture(n)
+    gog, peak = traced_draw(sim, alloc, mode=sp.WITH_REPLACEMENT)
+    assert np.array_equal(gog.out_degrees(), alloc.k)
+    assert peak < 1.25 * n * n * 8
 
 
 def test_draw_holds_two_block_buffers():
@@ -487,14 +508,19 @@ def test_blocks_give_the_same_draw_on_any_number_of_threads():
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=6)
     expected = per_row_without_replacement(sim, k, 6, 3)
     support = (sim.S > 0.0).sum(axis=1)
+    replaced = sp.SamplerConfig(mode=sp.WITH_REPLACEMENT, seed=6)
+    # the oracle prepares every row's CDF in one pass over the dense S
+    expected_replaced, _ = unique_with_replacement(sim, k, 6, 3)
     for workers in (1, 2, 3, 5):
         with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", workers):
             sampler = sp.GoGSampler(sim, alloc, config)
             edges = sampler.sample(3).edges
             clamped = sp.GoGSampler(sim, wide, config).k_effective
+            replaced_edges = sp.GoGSampler(sim, alloc, replaced).sample(3).edges
         assert np.array_equal(edges, expected), workers
         assert np.array_equal(sampler.k_effective, np.minimum(k, support)), workers
         assert np.array_equal(clamped, support), workers
+        assert replaced_edges.tobytes() == expected_replaced.tobytes(), workers
 
 
 class FailingRows:
@@ -531,6 +557,24 @@ def test_block_error_reaches_the_caller(bad):
             sp.GoGSampler(sim, alloc, config)
         sim.armed = False
         assert np.array_equal(sampler.sample(0).edges, good)
+
+
+@pytest.mark.parametrize("blocks", ["one block", "few rows"])
+def test_with_replacement_reads_the_similarity_only_by_rows(blocks):
+    # FailingRows has no S, so the sampler can only read it through rows
+    n = 301
+    dense = sparse_similarity(n, seed=44)
+    sim = FailingRows(dense, bad=0)  # never armed
+    k = np.random.default_rng(44).integers(0, 12, size=n)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    config = sp.SamplerConfig(mode=sp.WITH_REPLACEMENT, seed=5)
+    expected = sp.GoGSampler(dense, alloc, config)
+    rows = 7 if blocks == "few rows" else n
+    with few_rows(n, rows=rows), mock.patch.object(sp, "_WORKERS", 3):
+        sampler = sp.GoGSampler(sim, alloc, config)
+    for stream in range(3):
+        edges = sampler.sample(stream).edges
+        assert edges.tobytes() == expected.sample(stream).edges.tobytes(), stream
 
 
 def test_concurrent_callers_share_one_sampler():
@@ -632,8 +676,9 @@ from samgog.similarity import SimilarityMatrix
 s = np.ones((5, 5)) - np.eye(5)
 k = np.full(5, 2)
 sim = SimilarityMatrix(S=s, diagonal_zeroed=True)
-config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT)
-sp.GoGSampler(sim, DegreeAllocation(k=k, total=10), config).sample(0)
+for mode in (sp.WITH_REPLACEMENT, sp.WITHOUT_REPLACEMENT):
+    config = sp.SamplerConfig(mode=mode)
+    sp.GoGSampler(sim, DegreeAllocation(k=k, total=10), config).sample(0)
 assert "concurrent.futures" not in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -851,6 +896,11 @@ def test_gog_rejects_self_edges():
 def test_gog_rejects_malformed_edges_by_name(edges, match):
     with pytest.raises(ValueError, match=match):
         sp.GoGGraph(edges=edges, num_nodes=2, mode=sp.WITH_REPLACEMENT)
+
+
+def test_gog_rejects_an_unknown_mode_by_name():
+    with pytest.raises(ValueError, match="unknown sampling mode 'x'"):
+        sp.GoGGraph(edges=np.array([[0, 1, 1]]), num_nodes=2, mode="x")
 
 
 def test_gog_accepts_empty_and_unsigned_edges():

@@ -147,6 +147,13 @@ class TestHomophilyProb:
         with pytest.raises(sim.DegenerateRowError):
             sim.homophily_prob_all(s, np.array([0, 0]))
 
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 0, 1], [[0], [1], [0]]])
+    def test_label_count_must_match_nodes(self, labels):
+        s = sim.similarity_matrix(np.full((3, 2), 0.5), zero_diagonal=True)
+        with pytest.raises(ValueError, match=r"one label per similarity node: got "
+                           rf"labels of shape \({len(labels)},.*\) for 3 nodes"):
+            sim.homophily_prob_all(s, np.array(labels))
+
     @given(st.integers(min_value=2, max_value=10), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_always_in_unit_interval(self, n, seed):
@@ -186,6 +193,26 @@ class TestExpectedHomophily:
         p0 = sim.homophily_prob_all(mixed, labels2)[0]
         assert p0 == 0.0
         assert sim.expected_homophily(mixed, labels2, alloc) == 0.0
+
+    def test_all_zero_allocation_rejected_by_name(self):
+        s = sim.similarity_matrix(np.full((3, 2), 0.5), zero_diagonal=True)
+        alloc = DegreeAllocation(k=np.zeros(3, dtype=np.int64), total=0)
+        with pytest.raises(ValueError, match="undefined for an all-zero allocation"):
+            sim.expected_homophily(s, np.array([0, 1, 0]), alloc)
+
+    @pytest.mark.parametrize("k", [[1, 2], [1, 2, 3, 4]])
+    def test_allocation_length_must_match_nodes(self, k):
+        s = sim.similarity_matrix(np.full((3, 2), 0.5), zero_diagonal=True)
+        alloc = DegreeAllocation(k=np.array(k), total=int(np.sum(k)))
+        with pytest.raises(ValueError, match=r"one degree per similarity node: got "
+                           rf"an allocation of shape \({len(k)},\) for 3 nodes"):
+            sim.expected_homophily(s, np.array([0, 1, 0]), alloc)
+
+    def test_label_count_must_match_nodes(self):
+        s = sim.similarity_matrix(np.full((3, 2), 0.5), zero_diagonal=True)
+        alloc = DegreeAllocation(k=np.array([1, 2, 3]), total=6)
+        with pytest.raises(ValueError, match="one label per similarity node"):
+            sim.expected_homophily(s, np.array([0, 1]), alloc)
 
     def test_monte_carlo_consistency_small(self):
         rng = np.random.default_rng(11)
