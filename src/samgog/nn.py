@@ -139,12 +139,13 @@ class SymmetricOperator:
     ``A`` holds every weighted edge ``(src, dst, weight)`` in both
     directions; repeated pairs add.  With ``normalize`` the operator is
     ``D^{-1/2} (A + c I) D^{-1/2}``, ``D`` its row sums, each of which must
-    be positive.  Endpoints must be whole numbers in ``[0, n)``, and weights
-    and ``c`` finite; anything else is a ``ValueError``.  Every row stores its
-    diagonal entry, so no row segment is empty; the operator is its own
-    transpose.  The entries are put in row order by a stable sort of the
-    row ids cast to the narrowest integer type that holds ``n - 1``: a
-    radix sort up to 65536 nodes, with the same order as an int64 sort.
+    be positive.  Endpoints must be whole numbers in ``[0, n)``, weights
+    finite and one per edge or a scalar for all, and ``c`` finite; anything
+    else is a ``ValueError``.  Every row stores its diagonal entry, so no row
+    segment is empty; the operator is its own transpose.  The entries are
+    put in row order by a stable sort of the row ids cast to the narrowest
+    integer type that holds ``n - 1``: a radix sort up to 65536 nodes, with
+    the same order as an int64 sort.
 
     ``op @ x`` walks the rows in chunks of about ``_CHUNK_ENTRIES`` stored
     entries: each chunk's entries are gathered from ``x``, scaled and
@@ -158,13 +159,17 @@ class SymmetricOperator:
         src, dst = _node_ids(src), _node_ids(dst)
         if src.shape != dst.shape:
             raise ValueError(f"{src.size} edge sources but {dst.size} destinations")
+        weight = np.asarray(weight, dtype=np.float64)
+        if weight.ndim and weight.shape != src.shape:
+            raise ValueError(
+                f"edge weights of shape {weight.shape} for {src.size} edges"
+            )
         if src.size and not (0 <= min(src.min(), dst.min())
                              and max(src.max(), dst.max()) < n):
             i = int(np.argmax((src < 0) | (src >= n) | (dst < 0) | (dst >= n)))
             raise ValueError(
                 f"edge ({src[i]}, {dst[i]}) has an endpoint outside [0, {n})"
             )
-        weight = np.asarray(weight, dtype=np.float64)
         finite = np.isfinite(weight)
         if not finite.all():
             bad = weight.flat[np.argmin(finite)]

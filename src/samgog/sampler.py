@@ -15,17 +15,18 @@ threshold, the row keeps the first k_i columns of a stable descending key
 order over its positive weights.
 
 The similarity is read only in row blocks of about ``_BLOCK_BYTES``
-(``rows(r0, r1)`` of the factor form), never as a dense S.  One preparation
-pass serves both modes: it counts each row's mass and support and, with
-replacement, writes the row's CDF.  A without-replacement draw streams the
-blocks again, so that mode holds no N x N array; each row's keys and
-threshold are those of the whole matrix, so blocking leaves the edges as
-they are.  The blocks of one pass are spread over the usable CPUs, as many
-as a fixed budget for the blocks in flight allows: the caller's thread and
-threads made for that call alone pull whole blocks from one queue, and each
-block writes only its own rows; the call joins its threads before it
-returns.  The block boundaries stay fixed, because the bits of a ``rows``
-product depend on them.
+(``rows(r0, r1)`` of the factor form), never as a dense S, by one mapper
+that ``similarity.homophily_prob_all`` shares.  One preparation pass serves
+both modes: it counts each row's mass and support and, with replacement,
+writes the row's CDF.  A without-replacement draw streams the blocks again,
+so that mode holds no N x N array; each row's keys and threshold are those
+of the whole matrix, so blocking leaves the edges as they are.  The mapper
+spreads the blocks of one pass over the usable CPUs, as many as a fixed
+budget for the blocks in flight allows: the caller's thread and threads made
+for that call alone, each with buffers of its own, pull whole blocks from
+one queue, and each block writes only its own rows; the call joins its
+threads before it returns.  The block boundaries stay fixed, because the bits
+of a ``rows`` product depend on them.
 
 Per-node randomness is keyed by (seed, stream id, node id) counters, so one
 sample is reproducible bit-for-bit regardless of how rows are scheduled.
@@ -50,13 +51,13 @@ WITH_REPLACEMENT = "with-replacement"
 WITHOUT_REPLACEMENT = "without-replacement"
 _MODES = (WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
 
-# bytes of one float64 block of similarity rows in the preparation pass and
-# the without-replacement draw (2**16 entries); a block holds at least one
-# row.  Each thread works on a few block-sized arrays (see _INFLIGHT_BYTES),
-# and at N = 2000-4000 a sample took 30% less time with 512 KiB blocks than
-# with 1 MiB ones.  Threads share out whole blocks and never split one: a
-# block product P[r0:r1] P^T can differ in the last bit when its rows change,
-# so the boundaries fix the edges.
+# bytes of one float64 block of similarity rows in every pass of _map_blocks
+# (2**16 entries); a block holds at least one row.  Each thread works on a
+# few block-sized arrays (see _INFLIGHT_BYTES), and at N = 2000-4000 a sample
+# took 30% less time with 512 KiB blocks than with 1 MiB ones.  Threads share
+# out whole blocks and never split one: a block product P[r0:r1] P^T can
+# differ in the last bit when its rows change, so the boundaries fix the
+# edges and the closed forms' bits.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -71,11 +72,11 @@ def _usable_cpus() -> int:
 # _WORKERS - 1 made for the call
 _WORKERS = _usable_cpus()
 # bytes of block-sized arrays that the threads of one call may hold at once.
-# A thread holds two (its key buffer, and a spare that holds the counter
-# bits, the rows and the partitioned copy in turn) plus two boolean masks of
-# an eighth of one each.  Counted as four per thread, that caps a call with
-# full 512 KiB blocks at four threads, so its peak stays that of a dense
-# 1024 x 1024 S however many CPUs there are.
+# A draw's thread holds the most: two (its key buffer, and a spare that holds
+# the counter bits, the rows and the partitioned copy in turn) plus two
+# boolean masks of an eighth of one each.  Counted as four per thread, that
+# caps a call with full 512 KiB blocks at four threads, so its peak stays
+# that of a dense 1024 x 1024 S however many CPUs there are.
 _INFLIGHT_BYTES = 1 << 23
 
 
@@ -84,48 +85,42 @@ def _block_rows(n: int) -> int:
     return min(n, max(1, _BLOCK_BYTES // (8 * n)))
 
 
-def _row_blocks(n: int):
-    """(r0, r1) bounds of consecutive row blocks covering n rows."""
+def _map_blocks(n: int, block, buffers: int) -> None:
+    """Call ``block(r0, r1, *bufs)`` once per row block of n rows, on up to
+    _WORKERS threads, the caller's among them: no more threads than blocks,
+    nor than hold four block-sized arrays each within _INFLIGHT_BYTES.  Each
+    thread makes ``buffers`` block-sized float64 arrays and pulls whole
+    blocks from one shared queue until it is empty; ``bufs`` are its arrays
+    cut to the block's rows.  One block is a plain call.  Joins the threads it
+    made before it returns, and raises the first error among the calls."""
     rows = _block_rows(n)
-    for r0 in range(0, n, rows):
-        yield r0, min(n, r0 + rows)
-
-
-def _map_blocks(n: int, part) -> None:
-    """Call ``part(blocks)`` on up to _WORKERS threads, the caller's among
-    them: no more threads than blocks, nor than hold four blocks each within
-    _INFLIGHT_BYTES.  Each call iterates over whole row blocks of n rows,
-    pulled from one shared queue until it is empty, so every block goes to
-    exactly one call.  One block runs in the caller's thread alone.  Joins
-    the threads it made before it returns, and raises the first error among
-    the calls."""
-    todo = collections.deque(_row_blocks(n))
-
-    def pull():
-        while True:
-            try:
-                block = todo.popleft()
-            except IndexError:
-                return
-            yield block
+    if rows == n:
+        block(0, n, *(np.empty((n, n)) for _ in range(buffers)))
+        return
+    todo = collections.deque((r0, min(n, r0 + rows)) for r0 in range(0, n, rows))
 
     def run():
-        try:
-            part(pull())
-        except BaseException:
-            todo.clear()  # the other calls stop after their current block
-            raise
+        bufs = [np.empty((rows, n)) for _ in range(buffers)]
+        while True:
+            try:
+                r0, r1 = todo.popleft()
+            except IndexError:  # the queue is empty
+                return
+            try:
+                block(r0, r1, *(buf[: r1 - r0] for buf in bufs))
+            except BaseException:
+                todo.clear()  # the other threads stop after their current block
+                raise
 
-    block_bytes = 8 * n * _block_rows(n)
-    parts = min(_WORKERS, len(todo), _INFLIGHT_BYTES // (4 * block_bytes))
-    if parts <= 1:
+    threads = min(_WORKERS, len(todo), _INFLIGHT_BYTES // (4 * 8 * n * rows))
+    if threads <= 1:
         run()
         return
     # imported here, so a process that never runs a block on a thread skips it
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(parts - 1, thread_name_prefix="samgog-blocks") as pool:
-        futures = [pool.submit(run) for _ in range(parts - 1)]
+    with ThreadPoolExecutor(threads - 1, thread_name_prefix="samgog-blocks") as pool:
+        futures = [pool.submit(run) for _ in range(threads - 1)]
         run()
         for future in futures:
             future.result()
@@ -221,21 +216,19 @@ class GoGSampler:
         cdf = np.empty((n if with_replacement else 0, n))
         last_positive = np.empty(n, dtype=np.int64)
 
-        def prepare(blocks):
-            buf = np.empty((_block_rows(n), n))
-            for r0, r1 in blocks:
-                w = sim.rows(r0, r1, out=buf[: r1 - r0])
-                w.sum(axis=1, out=row_sums[r0:r1])
-                positive = w > 0.0
-                positive.sum(axis=1, out=support[r0:r1])
-                if with_replacement:
-                    last_positive[r0:r1] = n - 1 - positive[:, ::-1].argmax(axis=1)
-                    block = w.cumsum(axis=1, out=cdf[r0:r1])
-                    with np.errstate(all="ignore"):  # a massless row raises below
-                        block /= row_sums[r0:r1, None]
-                    block += np.arange(r0, r1)[:, None]
+        def prepare(r0, r1, buf):
+            w = sim.rows(r0, r1, out=buf)
+            w.sum(axis=1, out=row_sums[r0:r1])
+            positive = w > 0.0
+            positive.sum(axis=1, out=support[r0:r1])
+            if with_replacement:
+                last_positive[r0:r1] = n - 1 - positive[:, ::-1].argmax(axis=1)
+                block = w.cumsum(axis=1, out=cdf[r0:r1])
+                with np.errstate(all="ignore"):  # a massless row raises below
+                    block /= row_sums[r0:r1, None]
+                block += np.arange(r0, r1)[:, None]
 
-        _map_blocks(n, prepare)
+        _map_blocks(n, prepare, buffers=1)
         if (row_sums <= 0.0).any():
             bad = int(np.nonzero(row_sums <= 0.0)[0][0])
             raise DegenerateRowError(
@@ -300,51 +293,46 @@ class GoGSampler:
             ends = np.cumsum(ke)
             edges = np.empty((int(ends[-1]), 3), dtype=np.int64)
 
-            def draw(blocks):
-                # this call's own buffers, so draws may run concurrently
-                key_buf = np.empty((_block_rows(n), n))
-                spare = np.empty_like(key_buf)
-                for r0, r1 in blocks:
-                    key = key_uniforms(
-                        keys[r0:r1, None], self._node_ids[None, :], open_low=True,
-                        out=key_buf[: r1 - r0], scratch=spare[: r1 - r0],
-                    )
-                    w = self.sim.rows(r0, r1, out=spare[: r1 - r0])
-                    # a weight under about 1e-307 may overflow its key to
-                    # -inf, the key of a zero weight
-                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                        np.divide(np.log(key, out=key), w, out=key)
-                    off_support = w <= 0.0
-                    key[off_support] = -np.inf
-                    # the thresholds, from a partition of a copy of the keys;
-                    # w is not read again (the factor form built it in spare)
-                    part = spare[: r1 - r0]
-                    np.copyto(part, key)
-                    part.partition(n - kmax, axis=1)
-                    tail = part[:, n - kmax :]
-                    tail.sort(axis=1)
-                    threshold = tail[np.arange(r1 - r0), at[r0:r1]]
-                    threshold[keeps_none[r0:r1]] = np.inf
-                    keep = key >= threshold[:, None]
+            def draw(r0, r1, key_buf, spare):
+                key = key_uniforms(
+                    keys[r0:r1, None], self._node_ids[None, :], open_low=True,
+                    out=key_buf, scratch=spare,
+                )
+                w = self.sim.rows(r0, r1, out=spare)
+                # a weight under about 1e-307 may overflow its key to -inf,
+                # the key of a zero weight
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    np.divide(np.log(key, out=key), w, out=key)
+                off_support = w <= 0.0
+                key[off_support] = -np.inf
+                # the thresholds, from a partition of a copy of the keys in
+                # spare; w is not read again (the factor form built it there)
+                np.copyto(spare, key)
+                spare.partition(n - kmax, axis=1)
+                tail = spare[:, n - kmax :]
+                tail.sort(axis=1)
+                threshold = tail[np.arange(r1 - r0), at[r0:r1]]
+                threshold[keeps_none[r0:r1]] = np.inf
+                keep = key >= threshold[:, None]
+                flat = np.flatnonzero(keep)
+                lo, hi = ends[r0] - ke[r0], ends[r1 - 1]
+                if flat.size != hi - lo:
+                    # a row whose keys tie at its threshold keeps more than
+                    # ke[i]; it keeps instead the first ke[i] of its
+                    # positive-weight columns in a stable descending key
+                    # order: every key above the threshold, then the
+                    # lowest-numbered columns at it
+                    extra = np.count_nonzero(keep, axis=1) != ke[r0:r1]
+                    for i in np.flatnonzero(extra):
+                        cols = np.flatnonzero(~off_support[i])
+                        by_key = cols[np.argsort(-key[i, cols], kind="stable")]
+                        keep[i] = False
+                        keep[i, by_key[: ke[r0 + i]]] = True
                     flat = np.flatnonzero(keep)
-                    lo, hi = ends[r0] - ke[r0], ends[r1 - 1]
-                    if flat.size != hi - lo:
-                        # a row whose keys tie at its threshold keeps more
-                        # than ke[i]; it keeps instead the first ke[i] of its
-                        # positive-weight columns in a stable descending key
-                        # order: every key above the threshold, then the
-                        # lowest-numbered columns at it
-                        extra = np.count_nonzero(keep, axis=1) != ke[r0:r1]
-                        for i in np.flatnonzero(extra):
-                            cols = np.flatnonzero(~off_support[i])
-                            by_key = cols[np.argsort(-key[i, cols], kind="stable")]
-                            keep[i] = False
-                            keep[i, by_key[: ke[r0 + i]]] = True
-                        flat = np.flatnonzero(keep)
-                    # row-major order: by row, then by column
-                    np.remainder(flat, n, out=edges[lo:hi, 1])
+                # row-major order: by row, then by column
+                np.remainder(flat, n, out=edges[lo:hi, 1])
 
-            _map_blocks(n, draw)
+            _map_blocks(n, draw, buffers=2)
             edges[:, 0] = np.repeat(np.arange(n), ke)
             edges[:, 2] = 1
         return GoGGraph(

@@ -6,12 +6,11 @@ class probabilities.  The similarity of two instances is the probability
 that independent draws from their class distributions agree.
 
 ``similarity_matrix`` returns the factor form: it keeps the N x C matrix P
-and builds a block of rows of S only when asked, so a sampler can stream
-S in row blocks without ever holding an N x N array.  Its ``S`` property
-is ``rows(0, N)``, the dense matrix built on demand; ``SimilarityMatrix``
-holds a given dense S and checks it.  Both give a block of rows through
-``rows(r0, r1)``; the factor form builds it in a caller's buffer when given
-``out``.
+and builds a block of rows of S only when asked, so the sampler and the
+homophily closed forms stream S in row blocks, never as an N x N array.
+Its ``S`` property, the dense matrix built on demand, serves only small-N
+oracles; ``SimilarityMatrix`` holds a given dense S and checks it.  Both
+give rows through ``rows(r0, r1)``, built in ``out`` by the factor form.
 """
 
 from __future__ import annotations
@@ -142,13 +141,22 @@ def homophily_prob_all(sim: Similarity, true_labels: np.ndarray) -> np.ndarray:
             f"homophily needs one label per similarity node: got labels of "
             f"shape {labels.shape} for {sim.num_nodes} nodes"
         )
-    s = sim.S
-    totals = s.sum(axis=1)
+    from .sampler import _map_blocks  # here: the sampler imports this module
+
+    totals, same = np.empty((2, sim.num_nodes))
+
+    def block(r0, r1, buf):
+        s = sim.rows(r0, r1, out=buf)
+        s.sum(axis=1, out=totals[r0:r1])
+        # into buf, since the dense form's rows are a view of its S
+        np.multiply(s, labels[r0:r1, None] == labels[None, :], out=buf)
+        buf.sum(axis=1, out=same[r0:r1])
+
+    _map_blocks(sim.num_nodes, block, buffers=1)
     if np.any(totals <= 0.0):
         bad = int(np.nonzero(totals <= 0.0)[0][0])
         raise DegenerateRowError(f"similarity row {bad} has zero total mass")
-    same_mask = labels[:, None] == labels[None, :]
-    return (s * same_mask).sum(axis=1) / totals
+    return same / totals
 
 
 def expected_homophily(

@@ -55,6 +55,24 @@ class TestParser:
         with pytest.raises(data.IntegrityError, match="BAD_A.txt:2"):
             data.parse_tudataset(str(tmp_path), "BAD")
 
+    # a blank line before each bad line, so the line number counts blanks
+    @pytest.mark.parametrize(
+        "file, text, message",
+        [
+            ("graph_labels", "1\n\nx\n",
+             r"MINI_graph_labels.txt:3: expected integer, got 'x'"),
+            ("A", "1, 2\n\n1, 2, 1\n",
+             r"MINI_A.txt:3: expected 'src, dst', got '1, 2, 1'"),
+            ("A", "1, 2\n\n2, one\n",
+             r"MINI_A.txt:3: expected integers, got '2, one'"),
+        ],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, file, text, message):
+        write_minimal_dataset(tmp_path)
+        (tmp_path / f"MINI_{file}.txt").write_text(text)
+        with pytest.raises(data.ParseError, match=message):
+            data.parse_tudataset(str(tmp_path), "MINI")
+
     def test_crlf_and_spacing_tolerated(self, tmp_path):
         (tmp_path / "W_A.txt").write_bytes(b"1,2\r\n2, 1\r\n")
         (tmp_path / "W_graph_indicator.txt").write_bytes(b"1\r\n1\r\n")

@@ -197,6 +197,18 @@ def test_symmetric_operator_rejects_bad_weighting(
         nn.SymmetricOperator(2, src, dst, weight, diagonal=diagonal, normalize=normalize)
 
 
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        ([1.0, 2.0, 3.0], r"edge weights of shape \(3,\) for 2 edges"),
+        (np.ones((2, 1)), r"edge weights of shape \(2, 1\) for 2 edges"),
+    ],
+)
+def test_symmetric_operator_rejects_a_weight_count_off_the_edges(weight, message):
+    with pytest.raises(ValueError, match=message):
+        nn.SymmetricOperator(3, [0, 1], [1, 2], weight)
+
+
 def test_symmetric_operator_rejects_wrong_shape():
     op = nn.SymmetricOperator(3, [0, 1], [1, 2], 1.0)
     for x in (np.ones((5, 2)), np.ones((2, 2)), np.ones(3), np.ones((3, 2, 1))):

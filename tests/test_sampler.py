@@ -23,6 +23,8 @@ from samgog.similarity import (
     FactorSimilarity,
     SimilarityMatrix,
     build_prob_matrix,
+    expected_homophily,
+    homophily_prob_all,
     similarity_matrix,
 )
 
@@ -524,11 +526,12 @@ def test_blocks_give_the_same_draw_on_any_number_of_threads():
 
 
 class FailingRows:
-    """A similarity whose ``rows`` raises on the block starting at ``bad``
-    once ``armed`` is set, and records the names of the threads it serves."""
+    """A similarity whose ``rows`` raises ``error`` on the block starting at
+    ``bad`` once ``armed`` is set, and records the names of the threads it
+    serves.  It has no ``S``, so a reader can only use ``rows``."""
 
-    def __init__(self, sim, bad):
-        self.sim, self.bad, self.armed = sim, bad, False
+    def __init__(self, sim, bad, error=RuntimeError):
+        self.sim, self.bad, self.error, self.armed = sim, bad, error, False
         self.num_nodes = sim.num_nodes
         self.diagonal_zeroed = sim.diagonal_zeroed
         self.threads = set()
@@ -536,27 +539,85 @@ class FailingRows:
     def rows(self, r0, r1, out=None):
         self.threads.add(threading.current_thread().name)
         if self.armed and r0 == self.bad:
-            raise RuntimeError(f"rows {r0}:{r1} failed")
+            raise self.error(f"rows {r0}:{r1} failed")
         return self.sim.rows(r0, r1, out=out)
 
 
+# an IndexError too: the mapper's own "queue empty" IndexError must not
+# swallow a block's
+@pytest.mark.parametrize("error", [RuntimeError, IndexError])
 @pytest.mark.parametrize("bad", [0, 14, 294])
-def test_block_error_reaches_the_caller(bad):
+def test_block_error_reaches_the_caller(bad, error):
     n = 301
-    sim = FailingRows(sparse_similarity(n, seed=41), bad)
+    sim = FailingRows(sparse_similarity(n, seed=41), bad, error)
     k = np.full(n, 5)
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=2)
+    failed = f"rows {bad}:{bad + 7} failed"
     with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", 3):
         sampler = sp.GoGSampler(sim, alloc, config)
         good = sampler.sample(0).edges
         sim.armed = True
-        with pytest.raises(RuntimeError, match=f"rows {bad}:{bad + 7} failed"):
+        with pytest.raises(error, match=failed):
             sampler.sample(0)
-        with pytest.raises(RuntimeError, match=f"rows {bad}:{bad + 7} failed"):
+        with pytest.raises(error, match=failed):
             sp.GoGSampler(sim, alloc, config)
         sim.armed = False
         assert np.array_equal(sampler.sample(0).edges, good)
+
+
+def dense_homophily(s, labels):
+    """The closed form over a dense S, as one product and two row sums."""
+    same = labels[:, None] == labels[None, :]
+    return (s * same).sum(axis=1) / s.sum(axis=1)
+
+
+@pytest.mark.parametrize("blocks", ["one block", "few rows"])
+def test_homophily_reads_the_similarity_only_by_rows(blocks):
+    n = 301
+    dense = sparse_similarity(n, seed=47)
+    sim = FailingRows(dense, bad=0)  # never armed
+    labels = np.random.default_rng(47).integers(0, 3, size=n)
+    k = np.random.default_rng(48).integers(0, 9, size=n)
+    alloc = DegreeAllocation(k=k, total=int(k.sum()))
+    expected = dense_homophily(dense.S, labels)
+    rows = 7 if blocks == "few rows" else n
+    with few_rows(n, rows=rows), mock.patch.object(sp, "_WORKERS", 3):
+        got = homophily_prob_all(sim, labels)
+        mean = expected_homophily(sim, labels, alloc)
+    assert got.tobytes() == expected.tobytes()
+    assert mean == expected_homophily(dense, labels, alloc)
+    assert mean == float((k * expected).sum() / k.sum())
+    sim.armed = True
+    with few_rows(n, rows=rows), mock.patch.object(sp, "_WORKERS", 3):
+        with pytest.raises(RuntimeError, match=f"rows 0:{rows} failed"):
+            homophily_prob_all(sim, labels)
+
+
+def test_homophily_blocks_give_the_one_block_bytes_on_any_number_of_threads():
+    n = 301
+    sim = sparse_similarity(n, seed=49)
+    labels = np.random.default_rng(49).integers(0, 3, size=n)
+    with few_rows(n, rows=n):
+        one_block = homophily_prob_all(sim, labels)
+    assert one_block.tobytes() == dense_homophily(sim.S, labels).tobytes()
+    for workers in (1, 2, 3):
+        with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", workers):
+            got = homophily_prob_all(sim, labels)
+        assert got.tobytes() == one_block.tobytes(), workers
+
+
+def test_expected_homophily_holds_no_square_array():
+    n = 3000
+    sim, alloc = square_array_fixture(n)
+    labels = np.random.default_rng(30).integers(0, 2, size=n)
+    tracemalloc.start()
+    try:
+        expected_homophily(sim, labels, alloc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4  # a quarter of one N x N float64 array
 
 
 @pytest.mark.parametrize("blocks", ["one block", "few rows"])
@@ -654,7 +715,7 @@ def test_one_block_never_makes_the_pool():
     k = np.full(n, 4)
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=1)
-    assert len(list(sp._row_blocks(n))) == 1
+    assert sp._block_rows(n) == n
     no_pool = mock.patch(
         "concurrent.futures.ThreadPoolExecutor",
         side_effect=AssertionError("pool made for one block"),
@@ -665,20 +726,22 @@ def test_one_block_never_makes_the_pool():
 
 
 def test_one_block_draw_imports_no_pool_machinery():
-    # peak RSS of runs that never use the pool stays that of a serial draw
+    # peak RSS of runs that never use the pool stays that of a serial draw;
+    # criterion 6's shape: both draws and the closed form on one block
     script = """
 import sys
 import numpy as np
 import samgog.cli
 import samgog.sampler as sp
 from samgog.degree_alloc import DegreeAllocation
-from samgog.similarity import SimilarityMatrix
+from samgog.similarity import SimilarityMatrix, expected_homophily
 s = np.ones((5, 5)) - np.eye(5)
 k = np.full(5, 2)
 sim = SimilarityMatrix(S=s, diagonal_zeroed=True)
 for mode in (sp.WITH_REPLACEMENT, sp.WITHOUT_REPLACEMENT):
     config = sp.SamplerConfig(mode=mode)
     sp.GoGSampler(sim, DegreeAllocation(k=k, total=10), config).sample(0)
+expected_homophily(sim, np.array([0, 0, 1, 1, 1]), DegreeAllocation(k=k, total=10))
 assert "concurrent.futures" not in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
