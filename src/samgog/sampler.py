@@ -91,12 +91,11 @@ def _map_blocks(n: int, block, buffers: int) -> None:
     nor than hold four block-sized arrays each within _INFLIGHT_BYTES.  Each
     thread makes ``buffers`` block-sized float64 arrays and pulls whole
     blocks from one shared queue until it is empty; ``bufs`` are its arrays
-    cut to the block's rows.  One block is a plain call.  Joins the threads it
+    cut to the block's rows.  No rows make no block.  Joins the threads it
     made before it returns, and raises the first error among the calls."""
-    rows = _block_rows(n)
-    if rows == n:
-        block(0, n, *(np.empty((n, n)) for _ in range(buffers)))
+    if not n:
         return
+    rows = _block_rows(n)
     todo = collections.deque((r0, min(n, r0 + rows)) for r0 in range(0, n, rows))
 
     def run():

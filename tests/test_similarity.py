@@ -147,6 +147,16 @@ class TestHomophilyProb:
         with pytest.raises(sim.DegenerateRowError):
             sim.homophily_prob_all(s, np.array([0, 0]))
 
+    @pytest.mark.parametrize("form", ["dense", "factor"])
+    def test_no_nodes_give_an_empty_array(self, form):
+        s = (
+            sim.SimilarityMatrix(S=np.empty((0, 0)), diagonal_zeroed=True)
+            if form == "dense"
+            else sim.FactorSimilarity(P=np.empty((0, 2)), diagonal_zeroed=True)
+        )
+        probs = sim.homophily_prob_all(s, np.empty(0, dtype=np.int64))
+        assert probs.shape == (0,) and probs.dtype == np.float64
+
     @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 0, 1], [[0], [1], [0]]])
     def test_label_count_must_match_nodes(self, labels):
         s = sim.similarity_matrix(np.full((3, 2), 0.5), zero_diagonal=True)
