@@ -122,16 +122,16 @@ def gog_propagation_matrix(gog: GoGGraph) -> SymmetricOperator:
     return SymmetricOperator(gog.num_nodes, e[:, 0], e[:, 1], e[:, 2], normalize=True)
 
 
-def _downstream_forward(prop, h, state, config, train):
-    """Returns (logits, layer table, caches)."""
+def _downstream_forward(prop, h, state, config, train, caches=None):
+    """Returns (logits, layer table); ``caches``, when a list, receives the
+    table's caches."""
     p = config.dropout if train else 0.0
     views = state.views()
     table = _layer_table(config, views[f"gog{config.num_layers}.b"].size)
     # center the pooled embeddings: ReLU stacks over all-nonnegative inputs
     # are prone to dead-unit collapse
     x = h - h.mean(axis=0)
-    logits, caches = table_forward(table, x, views, prop, p, state.rng)
-    return logits, table, caches
+    return table_forward(table, x, views, prop, p, state.rng, caches), table
 
 
 def downstream_forward(
@@ -141,8 +141,8 @@ def downstream_forward(
     config: GoGClassifierConfig,
 ) -> np.ndarray:
     """Eval-mode logits per GoG node for a propagation matrix from
-    ``gog_propagation_matrix``."""
-    logits, _, _ = _downstream_forward(prop, h, state, config, False)
+    ``gog_propagation_matrix``; the pass keeps no layer caches."""
+    logits, _ = _downstream_forward(prop, h, state, config, False)
     return logits
 
 
@@ -156,7 +156,8 @@ def downstream_loss_and_grad(
     train: bool = True,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy on labeled GoG nodes and its parameter gradient."""
-    logits, table, caches = _downstream_forward(prop, h, state, config, train)
+    caches = []
+    logits, table = _downstream_forward(prop, h, state, config, train, caches)
     loss, dlogits = cross_entropy_and_dlogits(
         logits, np.asarray(labels), np.asarray(labeled_idx)
     )
@@ -248,7 +249,10 @@ def _mean_eval_logits(sampler, h, state, config, stream_base, count):
         gogs.append(gog)
         prop = gog_propagation_matrix(gog)
         logits = downstream_forward(prop, h, state, config)
-        acc = logits if acc is None else acc + logits
+        if acc is None:
+            acc = logits
+        else:
+            acc += logits
     return acc / count, gogs
 
 

@@ -147,31 +147,33 @@ def gin_layer_forward(
 # ---------------------------------------------------------------------------
 
 
-def _forward(dataset, config, views, rng, train, op):
-    """Returns (H, logits, cache).  Each layer is one pass over every graph's
-    nodes; its dropout mask is one draw from ``rng`` over all of them."""
-    if op is None:
-        op = build_operators(dataset, config)
+def _forward(dataset, config, views, rng, train, op, caches=None):
+    """Returns (H, logits).  Each layer is one pass over every graph's nodes;
+    its dropout mask is one draw from ``rng`` over all of them.  When
+    ``caches`` is a list, it receives the layers' caches and then the
+    head's, for ``_backward``."""
     p = config.dropout if train else 0.0
+    table = _layer_table(config, dataset.num_classes)
+    # the table never writes its input, so the stored features need no copy
+    x = table_forward(table[:-2], dataset.node_features, views, op, p, rng, caches)
+    h = np.add.reduceat(x, dataset.node_offsets, axis=0)
+    del x  # the node-level output: backward reads only the caches
+    if config.readout == READOUT_MEAN:
+        h = h / dataset.node_counts[:, None]
+    logits = table_forward(table[-2:], h, views, None, p, rng, caches)
+    return h, logits
+
+
+def _backward(dataset, config, op, caches, dlogits, grad_views):
     sizes = dataset.node_counts
     table = _layer_table(config, dataset.num_classes)
-    layers, head = table[:-2], table[-2:]
-    # the table never writes its input, so the stored features need no copy
-    x, layer_caches = table_forward(layers, dataset.node_features, views, op, p, rng)
-    h = np.add.reduceat(x, dataset.node_offsets, axis=0)
-    if config.readout == READOUT_MEAN:
-        h = h / sizes[:, None]
-    logits, head_caches = table_forward(head, h, views, None, p, rng)
-    return h, logits, (op, sizes, layers, layer_caches, head, head_caches)
-
-
-def _backward(config, cache, dlogits, grad_views):
-    op, sizes, layers, layer_caches, head, head_caches = cache
-    dh = table_backward(head, head_caches, dlogits, None, grad_views, True)
+    dh = table_backward(table[-2:], caches, dlogits, None, grad_views, True)
     if config.readout == READOUT_MEAN:
         dh = dh / sizes[:, None]
-    dx = np.repeat(dh, sizes, axis=0)
-    table_backward(layers, layer_caches, dx, op, grad_views, False)
+    # no name here keeps the node-level gradient, so the table can drop it
+    table_backward(
+        table[:-2], caches, np.repeat(dh, sizes, axis=0), op, grad_views, False
+    )
 
 
 def encode_dataset(
@@ -180,9 +182,12 @@ def encode_dataset(
     state: ModelState,
     op: SymmetricOperator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode graph embeddings H (N x hidden) and class logits (N x C)."""
-    h, logits, _ = _forward(dataset, config, state.views(), state.rng, False, op)
-    return h, logits
+    """Eval-mode graph embeddings H (N x hidden) and class logits (N x C).
+    The pass keeps no layer caches: each node-level activation is dropped
+    once the next is computed."""
+    if op is None:
+        op = build_operators(dataset, config)
+    return _forward(dataset, config, state.views(), state.rng, False, op)
 
 
 def supervised_loss_and_grad(
@@ -200,12 +205,13 @@ def supervised_loss_and_grad(
     Returns (loss, flat gradient, H, logits); H and logits come from the same
     pass that produced the gradient.
     """
-    views = state.views()
-    h, logits, cache = _forward(dataset, config, views, state.rng, train, op)
+    if op is None:
+        op = build_operators(dataset, config)
+    caches = []
+    h, logits = _forward(dataset, config, state.views(), state.rng, train, op, caches)
     loss, dlogits = cross_entropy_and_dlogits(
         logits, np.asarray(labels), np.asarray(labeled_idx)
     )
     grad = np.zeros_like(state.params)
-    grad_views = state.spec.views(grad)
-    _backward(config, cache, dlogits, grad_views)
+    _backward(dataset, config, op, caches, dlogits, state.spec.views(grad))
     return loss, grad, h, logits

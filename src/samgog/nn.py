@@ -77,9 +77,10 @@ def glorot_init(spec: ParamSpec, *key_parts: int) -> np.ndarray:
 
 
 def dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:
-    """Inverted-dropout mask: each entry is kept with probability 1 - p and
-    scaled by 1 / (1 - p), so the expected activation is unchanged."""
-    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+    """Inverted dropout's boolean keep mask: each entry is kept with
+    probability 1 - p.  The caller scales kept entries by 1 / (1 - p), so the
+    expected activation is unchanged."""
+    return rng.random(shape) >= p
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -92,16 +93,25 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 def cross_entropy_and_dlogits(
     logits: np.ndarray, labels: np.ndarray, subset: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over ``subset`` rows; gradient is zero elsewhere."""
+    """Mean cross-entropy over ``subset`` rows; gradient is zero elsewhere.
+    A subset row whose label is outside [0, C) is a ``ValueError``."""
     subset = np.asarray(subset, dtype=np.int64)
     if subset.size == 0:
         raise TrainingError("cross-entropy over an empty labeled subset")
+    picked_labels = labels[subset]
+    c = logits.shape[1]
+    outside = (picked_labels < 0) | (picked_labels >= c)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(
+            f"row {subset[i]} has label {picked_labels[i]} outside [0, {c})"
+        )
     probs = softmax_rows(logits[subset])
-    picked = probs[np.arange(subset.size), labels[subset]]
+    picked = probs[np.arange(subset.size), picked_labels]
     loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
     dlogits = np.zeros_like(logits)
     grad_rows = probs.copy()
-    grad_rows[np.arange(subset.size), labels[subset]] -= 1.0
+    grad_rows[np.arange(subset.size), picked_labels] -= 1.0
     dlogits[subset] = grad_rows / subset.size
     return loss, dlogits
 
@@ -244,17 +254,22 @@ def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
 
 
 def dense_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, relu: bool = False
-) -> tuple[np.ndarray, tuple]:
+    x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, relu: bool = False,
+    with_cache: bool = False,
+) -> tuple[np.ndarray, tuple | None]:
     """One dense map out = [relu](x @ w [+ b]) applied row-wise, with its
-    cache: the input, the weight, the ReLU output (None without ReLU) and
-    whether a bias was added."""
+    cache when ``with_cache`` (else None): the input, the weight, the ReLU's
+    boolean sign ``out > 0`` (None without ReLU) and whether a bias was
+    added.  The cache holds no reference to ``out``, so the caller may
+    overwrite it."""
     out = x @ w
     if b is not None:
         out += b
     if relu:
         np.maximum(out, 0.0, out=out)
-    return out, (x, w, out if relu else None, b is not None)
+    if not with_cache:
+        return out, None
+    return out, (x, w, out > 0 if relu else None, b is not None)
 
 
 def dense_backward(cache: tuple, dout: np.ndarray, input_grad: bool):
@@ -263,11 +278,11 @@ def dense_backward(cache: tuple, dout: np.ndarray, input_grad: bool):
 
     Overwrites ``dout`` with the pre-activation gradient, so the backward
     pass holds one node-sized gradient fewer; pass a copy to keep it.  The
-    cached ReLU output masks it: it is positive exactly where the ReLU's
-    input is."""
-    x, w, out, has_bias = cache
-    if out is not None:
-        dout *= out > 0
+    cached sign masks it: a ReLU's output is positive exactly where its
+    input is, so the sign is all its backward reads."""
+    x, w, positive, has_bias = cache
+    if positive is not None:
+        dout *= positive
     dw = x.T @ dout
     db = dout.sum(axis=0) if has_bias else None
     dx = dout @ w.T if input_grad else None
@@ -291,42 +306,51 @@ def table_param_spec(table, in_dim: int) -> ParamSpec:
     return ParamSpec(tuple(entries))
 
 
-def table_forward(table, x, views, op, p: float, rng):
-    """Runs ``table`` on ``x``; dropout with rate ``p`` draws its masks from
-    ``rng`` in row order.  Returns (output, caches for table_backward)."""
-    caches = []
+def table_forward(table, x, views, op, p: float, rng, caches: list | None = None):
+    """Runs ``table`` on ``x`` and returns its output; dropout with rate
+    ``p`` draws its keep masks from ``rng`` in row order and scales the
+    dense output in place.  When ``caches`` is a list, every row appends its
+    cache for table_backward to it: the dense map's, the keep mask (None
+    without dropout) and the scale.  An eval pass passes none and keeps
+    nothing."""
+    scale = 1.0 / (1.0 - p)
     for weight, bias, relu, _, propagate, dropout in table:
         if propagate:
             x = op @ x
         b = views[bias] if bias is not None else None
-        x, cache = dense_forward(x, views[weight], b, relu)
-        mask = None
+        x, cache = dense_forward(x, views[weight], b, relu, caches is not None)
+        keep = None
         if dropout and p > 0.0:
-            mask = dropout_mask(rng, x.shape, p)
-            x = x * mask
-        caches.append((cache, mask))
-    return x, caches
+            keep = dropout_mask(rng, x.shape, p)
+            x *= keep
+            x *= scale
+        if caches is not None:
+            caches.append((cache, keep, scale))
+    return x
 
 
-def table_backward(table, caches, dout, op, grad_views, input_grad: bool):
+def table_backward(table, caches, grad, op, grad_views, input_grad: bool):
     """Adds every row's parameter gradients into ``grad_views`` and returns
     the gradient of the table's input, None without ``input_grad``.
-    Consumes ``caches`` and may overwrite ``dout``."""
-    dx = dout
+    ``grad`` is the gradient of the table's output, and ``caches`` ends with
+    the table's rows; it pops one per row, last row first, and may
+    overwrite ``grad``.  Each row's cache and incoming gradient are dropped
+    as soon as its gradients are taken."""
     for i in range(len(table) - 1, -1, -1):
         weight, bias, _, _, propagate, _ = table[i]
-        # drop each row's cache once its gradients are taken
-        cache, mask = caches.pop()
-        if mask is not None:
-            dx *= mask
+        cache, keep, scale = caches.pop()
+        if keep is not None:
+            grad *= keep
+            grad *= scale
         need_dx = input_grad or i > 0
-        dx, dw, db = dense_backward(cache, dx, need_dx)
+        grad, dw, db = dense_backward(cache, grad, need_dx)
+        del cache, keep
         grad_views[weight] += dw
         if bias is not None:
             grad_views[bias] += db
         if propagate and need_dx:
-            dx = op @ dx
-    return dx
+            grad = op @ grad
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,20 @@ class TestCrossEntropy:
                 np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros(0, dtype=int)
             )
 
+    @pytest.mark.parametrize("labels, bad", [([0, -1, 1], -1), ([0, 2, 1], 2)])
+    def test_subset_label_outside_the_classes_is_named(self, labels, bad):
+        # row 2 is outside the subset, so only row 1's label is read
+        with pytest.raises(ValueError, match=rf"row 1 has label {bad} outside \[0, 2\)"):
+            nn.cross_entropy_and_dlogits(np.zeros((3, 2)), np.array(labels),
+                                         np.array([0, 1]))
+
+    def test_label_outside_the_subset_is_not_read(self):
+        loss, dlogits = nn.cross_entropy_and_dlogits(
+            np.zeros((3, 2)), np.array([0, 1, -1]), np.array([0, 1])
+        )
+        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+        assert np.all(dlogits[2] == 0.0)
+
     def test_dlogits_matches_finite_difference(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(4, 3))
@@ -214,6 +228,124 @@ def test_symmetric_operator_rejects_wrong_shape():
     for x in (np.ones((5, 2)), np.ones((2, 2)), np.ones(3), np.ones((3, 2, 1))):
         with pytest.raises(ValueError, match=r"needs x of shape \(3, d\)"):
             op @ x
+
+
+# ---------------------------------------------------------------------------
+# Layer tables against the float-cache formulas
+# ---------------------------------------------------------------------------
+
+
+def reference_table_forward(table, x, views, op, p, rng):
+    """The layer table with a float cache per row: the ReLU output itself,
+    and the dropout mask ``(r >= p) / (1 - p)`` as float64."""
+    caches = []
+    for weight, bias, relu, _, propagate, dropout in table:
+        if propagate:
+            x = op @ x
+        w = views[weight]
+        out = x @ w
+        if bias is not None:
+            out += views[bias]
+        if relu:
+            np.maximum(out, 0.0, out=out)
+        mask = None
+        if dropout and p > 0.0:
+            mask = (rng.random(out.shape) >= p).astype(np.float64) / (1.0 - p)
+        caches.append((x, w, out if relu else None, bias is not None, mask))
+        x = out if mask is None else out * mask
+    return x, caches
+
+
+def reference_table_backward(table, caches, dout, op, grad_views, input_grad):
+    dx = dout
+    for i in range(len(table) - 1, -1, -1):
+        weight, bias, _, _, propagate, _ = table[i]
+        x, w, out, has_bias, mask = caches.pop()
+        if mask is not None:
+            dx = dx * mask
+        if out is not None:
+            dx = dx * (out > 0)
+        need_dx = input_grad or i > 0
+        grad_views[weight] += x.T @ dx
+        if has_bias:
+            grad_views[bias] += dx.sum(axis=0)
+        dx = dx @ w.T if need_dx else None
+        if propagate and need_dx:
+            dx = op @ dx
+    return dx
+
+
+@st.composite
+def layer_tables(draw):
+    """(table, input width): single rows with every mix of ReLU, bias,
+    propagation and dropout, and GIN's two-map rows (ReLU map with bias that
+    propagates, then a linear map with bias and dropout)."""
+    table = []
+    for k in range(draw(st.integers(1, 3))):
+        width = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            table.append((f"g{k}.W1", f"g{k}.b1", True, width, True, False))
+            table.append((f"g{k}.W2", f"g{k}.b2", False, width, False, True))
+        else:
+            relu, bias, propagate, dropout = (draw(st.booleans()) for _ in range(4))
+            table.append((f"d{k}.W", f"d{k}.b" if bias else None, relu, width,
+                          propagate, dropout))
+    return table, draw(st.integers(1, 4))
+
+
+@given(layer_tables(), weighted_graphs(), st.sampled_from([0.0, 0.3]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_layer_table_keeps_the_float_cache_bytes(tables, graph, p, input_grad, seed):
+    table, in_dim = tables
+    op, _ = operator_and_oracle(graph, True, 0.0)
+    spec = nn.table_param_spec(table, in_dim)
+    views = spec.views(nn.glorot_init(spec, seed))
+    for name, shape in spec.entries:
+        if len(shape) == 1:  # nonzero biases, so some ReLUs clip and some not
+            views[name][...] = np.random.default_rng(seed).normal(size=shape)
+    x = np.random.default_rng([seed, 1]).normal(size=(graph[0], in_dim))
+    x.flags.writeable = False
+    width = table[-1][3]
+    dout = np.random.default_rng([seed, 2]).normal(size=(graph[0], width))
+
+    want, ref_caches = reference_table_forward(table, x, views, op, p,
+                                               np.random.default_rng(seed))
+    caches = []
+    got = nn.table_forward(table, x, views, op, p, np.random.default_rng(seed),
+                           caches)
+    assert got.tobytes() == want.tobytes()
+    assert len(caches) == len(table)
+
+    want_grad, got_grad = np.zeros(spec.total), np.zeros(spec.total)
+    want_dx = reference_table_backward(table, ref_caches, dout.copy(), op,
+                                       spec.views(want_grad), input_grad)
+    got_dx = nn.table_backward(table, caches, dout.copy(), op, spec.views(got_grad),
+                               input_grad)
+    assert caches == []
+    assert got_grad.tobytes() == want_grad.tobytes()
+    if input_grad:
+        assert got_dx.tobytes() == want_dx.tobytes()
+    else:
+        assert got_dx is None and want_dx is None
+
+    # an eval pass (no dropout, no caches list) gives the reference output,
+    # and none of its dense maps builds a cache, ReLU sign included
+    eval_want, _ = reference_table_forward(table, x, views, op, 0.0, None)
+    dense_forward = nn.dense_forward
+    dense_caches = []
+
+    def recording_dense_forward(*args):
+        out, cache = dense_forward(*args)
+        dense_caches.append(cache)
+        return out, cache
+
+    with mock.patch.object(nn, "dense_forward", recording_dense_forward), \
+            mock.patch.object(nn, "dropout_mask") as draw_mask:
+        eval_got = nn.table_forward(table, x, views, op, 0.0, None)
+    assert not draw_mask.called
+    assert dense_caches == [None] * len(table)
+    assert eval_got.tobytes() == eval_want.tobytes()
 
 
 class TestOptimizer:
