@@ -152,6 +152,7 @@ def _validate(values: dict) -> None:
 
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
     values = {key: default for key, (_, default) in _SCHEMA.items()}
+    set_on = {}  # key -> the line that set it
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -162,6 +163,11 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
         key = key.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"line {ln}: unknown config key {key}")
+        if key in set_on:
+            raise ConfigError(
+                f"line {ln}: config key {key} already set on line {set_on[key]}"
+            )
+        set_on[key] = ln
         values[key] = _coerce(key, raw)
     for key, value in (overrides or {}).items():
         if key not in _SCHEMA:

@@ -174,19 +174,24 @@ class SplitSpec:
     rho_class: float | None = None
     seed: int = 0
 
+    def _lists(self):
+        return ("train", self.train_idx), ("val", self.val_idx), ("test", self.test_idx)
+
     def __post_init__(self):
-        parts = (set(self.train_idx), set(self.val_idx), set(self.test_idx))
-        total = len(self.train_idx) + len(self.val_idx) + len(self.test_idx)
-        if len(parts[0] | parts[1] | parts[2]) != total:
-            raise SplitError("split index lists overlap")
+        owner = {}  # index -> the list it was first seen in
+        for name, idx in self._lists():
+            for i in idx:
+                if i in owner:
+                    if owner[i] == name:
+                        raise SplitError(f"{name} index {i} appears twice")
+                    raise SplitError(
+                        f"index {i} is in both the {owner[i]} and {name} lists"
+                    )
+                owner[i] = name
 
     def validate(self, dataset: GraphDataset) -> None:
         n = len(dataset)
-        for name, idx in (
-            ("train", self.train_idx),
-            ("val", self.val_idx),
-            ("test", self.test_idx),
-        ):
+        for name, idx in self._lists():
             for i in idx:
                 if not (0 <= i < n):
                     raise SplitError(f"{name} index {i} outside dataset of size {n}")
@@ -562,6 +567,9 @@ def read_split(path: str) -> SplitSpec:
     body = lines[1:4]
     if len(body) < 3:
         raise ParseError(f"{path}: expected three index lines")
+    for ln, line in enumerate(lines[4:], start=5):
+        if line.strip():
+            raise ParseError(f"{path}:{ln}: expected three index lines, got {line!r}")
     lists = []
     for ln, line in enumerate(body, start=2):
         try:

@@ -14,19 +14,12 @@ keeps the keys at or above it, read in column order.  Where keys tie at that
 threshold, the row keeps the first k_i columns of a stable descending key
 order over its positive weights.
 
-The similarity is read only in row blocks of about ``_BLOCK_BYTES``
-(``rows(r0, r1)`` of the factor form), never as a dense S, by one mapper
-that ``similarity.homophily_prob_all`` shares.  One preparation pass serves
+The similarity is read only in row blocks, through the mapper
+``similarity._map_blocks``, never as a dense S.  One preparation pass serves
 both modes: it counts each row's mass and support and, with replacement,
 writes the row's CDF.  A without-replacement draw streams the blocks again,
 so that mode holds no N x N array; each row's keys and threshold are those
-of the whole matrix, so blocking leaves the edges as they are.  The mapper
-spreads the blocks of one pass over the usable CPUs, as many as a fixed
-budget for the blocks in flight allows: the caller's thread and threads made
-for that call alone, each with buffers of its own, pull whole blocks from
-one queue, and each block writes only its own rows; the call joins its
-threads before it returns.  The block boundaries stay fixed, because the bits
-of a ``rows`` product depend on them.
+of the whole matrix, so blocking leaves the edges as they are.
 
 Per-node randomness is keyed by (seed, stream id, node id) counters, so one
 sample is reproducible bit-for-bit regardless of how rows are scheduled.
@@ -34,95 +27,20 @@ sample is reproducible bit-for-bit regardless of how rows are scheduled.
 
 from __future__ import annotations
 
-import collections
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .degree_alloc import DegreeAllocation
 from .rng import key_uniforms, mix, vector_keys
-from .similarity import DegenerateRowError, Similarity
+from .similarity import Similarity, _check_row_mass, _map_blocks
 
 logger = logging.getLogger(__name__)
 
 WITH_REPLACEMENT = "with-replacement"
 WITHOUT_REPLACEMENT = "without-replacement"
 _MODES = (WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
-
-# bytes of one float64 block of similarity rows in every pass of _map_blocks
-# (2**16 entries); a block holds at least one row.  Each thread works on a
-# few block-sized arrays (see _INFLIGHT_BYTES), and at N = 2000-4000 a sample
-# took 30% less time with 512 KiB blocks than with 1 MiB ones.  Threads share
-# out whole blocks and never split one: a block product P[r0:r1] P^T can
-# differ in the last bit when its rows change, so the boundaries fix the
-# edges and the closed forms' bits.
-_BLOCK_BYTES = 1 << 19
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-# threads that work on the row blocks of one call: the caller's own and
-# _WORKERS - 1 made for the call
-_WORKERS = _usable_cpus()
-# bytes of block-sized arrays that the threads of one call may hold at once.
-# A draw's thread holds the most: two (its key buffer, and a spare that holds
-# the counter bits, the rows and the partitioned copy in turn) plus two
-# boolean masks of an eighth of one each.  Counted as four per thread, that
-# caps a call with full 512 KiB blocks at four threads, so its peak stays
-# that of a dense 1024 x 1024 S however many CPUs there are.
-_INFLIGHT_BYTES = 1 << 23
-
-
-def _block_rows(n: int) -> int:
-    """Rows in one block of float64 weights of about _BLOCK_BYTES (1 to n)."""
-    return min(n, max(1, _BLOCK_BYTES // (8 * n)))
-
-
-def _map_blocks(n: int, block, buffers: int) -> None:
-    """Call ``block(r0, r1, *bufs)`` once per row block of n rows, on up to
-    _WORKERS threads, the caller's among them: no more threads than blocks,
-    nor than hold four block-sized arrays each within _INFLIGHT_BYTES.  Each
-    thread makes ``buffers`` block-sized float64 arrays and pulls whole
-    blocks from one shared queue until it is empty; ``bufs`` are its arrays
-    cut to the block's rows.  No rows make no block.  Joins the threads it
-    made before it returns, and raises the first error among the calls."""
-    if not n:
-        return
-    rows = _block_rows(n)
-    todo = collections.deque((r0, min(n, r0 + rows)) for r0 in range(0, n, rows))
-
-    def run():
-        bufs = [np.empty((rows, n)) for _ in range(buffers)]
-        while True:
-            try:
-                r0, r1 = todo.popleft()
-            except IndexError:  # the queue is empty
-                return
-            try:
-                block(r0, r1, *(buf[: r1 - r0] for buf in bufs))
-            except BaseException:
-                todo.clear()  # the other threads stop after their current block
-                raise
-
-    threads = min(_WORKERS, len(todo), _INFLIGHT_BYTES // (4 * 8 * n * rows))
-    if threads <= 1:
-        run()
-        return
-    # imported here, so a process that never runs a block on a thread skips it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(threads - 1, thread_name_prefix="samgog-blocks") as pool:
-        futures = [pool.submit(run) for _ in range(threads - 1)]
-        run()
-        for future in futures:
-            future.result()
 
 
 class EmptyGoGError(Exception):
@@ -228,11 +146,7 @@ class GoGSampler:
                 block += np.arange(r0, r1)[:, None]
 
         _map_blocks(n, prepare, buffers=1)
-        if (row_sums <= 0.0).any():
-            bad = int(np.nonzero(row_sums <= 0.0)[0][0])
-            raise DegenerateRowError(
-                f"node {bad} has no positive off-diagonal similarity"
-            )
+        _check_row_mass(row_sums)
         self.config = config
         self.num_nodes = n
         k = allocation.k.astype(np.int64)
@@ -370,14 +284,6 @@ def empirical_inclusion_matrix(
         gog = sampler.sample(trial)
         acc[gog.edges[:, 0], gog.edges[:, 1]] += gog.edges[:, 2]
     return acc / num_trials
-
-
-def expected_inclusion_matrix(
-    sim: Similarity, allocation: DegreeAllocation
-) -> np.ndarray:
-    """Closed form k_i * S[i, j] / sum_m S[i, m]."""
-    s = sim.S
-    return allocation.k[:, None] * s / s.sum(axis=1, keepdims=True)
 
 
 def dump_gog(gog: GoGGraph, path: str) -> None:

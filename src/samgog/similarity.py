@@ -1,5 +1,5 @@
-"""Class-probability matrix, pairwise similarity S = P P^T, and the
-similarity-weighted homophily probability it induces.
+"""Class-probability matrix, pairwise similarity S = P P^T, how it is read in
+row blocks, and the closed forms of with-replacement sampling from it.
 
 Labeled rows of P are exact one-hot vectors; unlabeled rows are softmax
 class probabilities.  The similarity of two instances is the probability
@@ -11,10 +11,21 @@ homophily closed forms stream S in row blocks, never as an N x N array.
 Its ``S`` property, the dense matrix built on demand, serves only small-N
 oracles; ``SimilarityMatrix`` holds a given dense S and checks it.  Both
 give rows through ``rows(r0, r1)``, built in ``out`` by the factor form.
+
+Every pass over a similarity reads it in row blocks of about
+``_BLOCK_BYTES`` through one mapper, ``_map_blocks``, which the sampler
+shares.  The mapper spreads the blocks of one pass over the usable CPUs, as
+many as a fixed budget for the blocks in flight allows: the caller's thread
+and threads made for that call alone, each with buffers of its own, pull
+whole blocks from one queue, and each block writes only its own rows; the
+call joins its threads before it returns.  The block boundaries stay fixed,
+because the bits of a ``rows`` product depend on them.
 """
 
 from __future__ import annotations
 
+import collections
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +110,86 @@ class FactorSimilarity:
 
 Similarity = SimilarityMatrix | FactorSimilarity
 
+# bytes of one float64 block of similarity rows in every pass of _map_blocks
+# (2**16 entries); a block holds at least one row.  Each thread works on a
+# few block-sized arrays (see _INFLIGHT_BYTES), and at N = 2000-4000 a sample
+# took 30% less time with 512 KiB blocks than with 1 MiB ones.  Threads share
+# out whole blocks and never split one: a block product P[r0:r1] P^T can
+# differ in the last bit when its rows change, so the boundaries fix the
+# edges and the closed forms' bits.
+_BLOCK_BYTES = 1 << 19
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+# threads that work on the row blocks of one call: the caller's own and
+# _WORKERS - 1 made for the call
+_WORKERS = _usable_cpus()
+# bytes of block-sized arrays that the threads of one call may hold at once.
+# A draw's thread holds the most: two (its key buffer, and a spare that holds
+# the counter bits, the rows and the partitioned copy in turn) plus two
+# boolean masks of an eighth of one each.  Counted as four per thread, that
+# caps a call with full 512 KiB blocks at four threads, so its peak stays
+# that of a dense 1024 x 1024 S however many CPUs there are.
+_INFLIGHT_BYTES = 1 << 23
+
+
+def _block_rows(n: int) -> int:
+    """Rows in one block of float64 weights of about _BLOCK_BYTES (1 to n)."""
+    return min(n, max(1, _BLOCK_BYTES // (8 * n)))
+
+
+def _map_blocks(n: int, block, buffers: int) -> None:
+    """Call ``block(r0, r1, *bufs)`` once per row block of n rows, on up to
+    _WORKERS threads, the caller's among them: no more threads than blocks,
+    nor than hold four block-sized arrays each within _INFLIGHT_BYTES.  Each
+    thread makes ``buffers`` block-sized float64 arrays and pulls whole
+    blocks from one shared queue until it is empty; ``bufs`` are its arrays
+    cut to the block's rows.  No rows make no block.  Joins the threads it
+    made before it returns, and raises the first error among the calls."""
+    if not n:
+        return
+    rows = _block_rows(n)
+    todo = collections.deque((r0, min(n, r0 + rows)) for r0 in range(0, n, rows))
+
+    def run():
+        bufs = [np.empty((rows, n)) for _ in range(buffers)]
+        while True:
+            try:
+                r0, r1 = todo.popleft()
+            except IndexError:  # the queue is empty
+                return
+            try:
+                block(r0, r1, *(buf[: r1 - r0] for buf in bufs))
+            except BaseException:
+                todo.clear()  # the other threads stop after their current block
+                raise
+
+    threads = min(_WORKERS, len(todo), _INFLIGHT_BYTES // (4 * 8 * n * rows))
+    if threads <= 1:
+        run()
+        return
+    # imported here, so a process that never runs a block on a thread skips it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads - 1, thread_name_prefix="samgog-blocks") as pool:
+        futures = [pool.submit(run) for _ in range(threads - 1)]
+        run()
+        for future in futures:
+            future.result()
+
+
+def _check_row_mass(totals: np.ndarray) -> None:
+    """Raise DegenerateRowError for the lowest row whose total is <= 0."""
+    if (totals <= 0.0).any():
+        bad = int(np.argmax(totals <= 0.0))
+        raise DegenerateRowError(f"node {bad} has no positive off-diagonal similarity")
+
 
 def build_prob_matrix(
     logits: np.ndarray, labels: np.ndarray, labeled_mask: np.ndarray
@@ -141,8 +232,6 @@ def homophily_prob_all(sim: Similarity, true_labels: np.ndarray) -> np.ndarray:
             f"homophily needs one label per similarity node: got labels of "
             f"shape {labels.shape} for {sim.num_nodes} nodes"
         )
-    from .sampler import _map_blocks  # here: the sampler imports this module
-
     totals, same = np.empty((2, sim.num_nodes))
 
     def block(r0, r1, buf):
@@ -153,9 +242,7 @@ def homophily_prob_all(sim: Similarity, true_labels: np.ndarray) -> np.ndarray:
         buf.sum(axis=1, out=same[r0:r1])
 
     _map_blocks(sim.num_nodes, block, buffers=1)
-    if np.any(totals <= 0.0):
-        bad = int(np.nonzero(totals <= 0.0)[0][0])
-        raise DegenerateRowError(f"similarity row {bad} has zero total mass")
+    _check_row_mass(totals)
     return same / totals
 
 
@@ -174,3 +261,9 @@ def expected_homophily(
         raise ValueError("expected homophily is undefined for an all-zero allocation")
     prob = homophily_prob_all(sim, true_labels)
     return float((k * prob).sum() / k.sum())
+
+
+def expected_inclusion_matrix(sim: Similarity, allocation) -> np.ndarray:
+    """Closed form k_i * S[i, j] / sum_m S[i, m]."""
+    s = sim.S
+    return allocation.k[:, None] * s / s.sum(axis=1, keepdims=True)

@@ -36,9 +36,9 @@ from .sampler import (
     SamplerConfig,
     WITH_REPLACEMENT,
     empirical_inclusion_matrix,
-    expected_inclusion_matrix,
 )
 from .similarity import FactorSimilarity, SimilarityMatrix, homophily_prob_all
+from .similarity import expected_inclusion_matrix
 
 
 @dataclass(frozen=True)

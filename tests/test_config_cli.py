@@ -124,6 +124,13 @@ class TestConfigParsing:
         cfg = config.parse_config_text(GOOD_CONFIG, overrides={"seed": 99})
         assert cfg.seed == 99
 
+    def test_repeated_key_names_both_lines(self):
+        text = "alloc.d_bar = 5\n# note\nalloc.d_bar = 6\n"
+        with pytest.raises(
+            config.ConfigError, match="line 3: config key alloc.d_bar already set on line 1"
+        ):
+            config.parse_config_text(text)
+
 
 class TestRunExperiment:
     def write_config(self, tmp_path, text=GOOD_CONFIG):

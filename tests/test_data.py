@@ -574,12 +574,37 @@ class TestSplits:
             ("# seed=1\n0,1\n2,x\n3\n", ":3:"),
             ("# rho_class=abc seed=1\n0,1\n2\n3\n", ":1:"),
             ("# rho_size=none seed=abc\n0,1\n2\n3\n", ":1:"),
+            # graphs 4 and 5 would be in no list
+            ("# seed=1\n0,1\n2\n3\n\n4,5\n", ":6:"),
         ],
     )
     def test_malformed_split_file_names_path_and_line(self, tmp_path, text, where):
         path = tmp_path / "s.txt"
         path.write_text(text)
         with pytest.raises(data.ParseError, match=f"s.txt{where}"):
+            data.read_split(str(path))
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("# seed=1\n0,1\n2\n3\n\n  \n")
+        assert data.read_split(str(path)) == data.SplitSpec((0, 1), (2,), (3,), seed=1)
+
+    @pytest.mark.parametrize(
+        "lists, message",
+        [
+            (((1, 1), (), (2,)), "train index 1 appears twice"),
+            (((0,), (2, 3), (3,)), "index 3 is in both the val and test lists"),
+            (((4, 0), (), (4,)), "index 4 is in both the train and test lists"),
+        ],
+    )
+    def test_repeated_split_index_names_its_lists(self, tmp_path, lists, message):
+        with pytest.raises(data.SplitError, match=message):
+            data.SplitSpec(*lists)
+        path = tmp_path / "s.txt"
+        path.write_text("# seed=0\n" + "".join(
+            ",".join(map(str, idx)) + "\n" for idx in lists
+        ))
+        with pytest.raises(data.SplitError, match=message):
             data.read_split(str(path))
 
 

@@ -3,6 +3,7 @@ between two modules fails here whichever of them a caller imports first; and
 the package's top-level names and the trainers' parameters are pinned, so
 adding or dropping an export or a knob is a deliberate change to this file."""
 
+import ast
 import importlib.util
 import inspect
 import os
@@ -17,6 +18,29 @@ import pytest
 # not the collection of this file
 _PACKAGE = importlib.util.find_spec("samgog").submodule_search_locations
 MODULES = ["samgog"] + [f"samgog.{m.name}" for m in pkgutil.iter_modules(_PACKAGE)]
+
+
+def _tree(module):
+    with open(os.path.join(_PACKAGE[0], f"{module}.py")) as f:
+        return ast.parse(f.read())
+
+
+def test_similarity_and_sampler_depend_one_way():
+    # similarity.py owns every read of S: the sampler reads it only through
+    # the row-block mapper, and similarity.py never reaches back, at any depth
+    for node in ast.walk(_tree("similarity")):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(n.split(".")[-1] == "sampler" for n in names), node.lineno
+    reads = [
+        node.lineno for node in ast.walk(_tree("sampler"))
+        if isinstance(node, ast.Attribute) and node.attr == "S"
+    ]
+    assert reads == []
 
 
 @pytest.mark.parametrize("module", MODULES)

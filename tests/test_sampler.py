@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from samgog import sampler as sp
+from samgog import similarity as sm
 from samgog.degree_alloc import DegreeAllocation
 from samgog.rng import generator, key_uniforms, mix, vector_keys
 from samgog.similarity import (
@@ -24,6 +25,7 @@ from samgog.similarity import (
     SimilarityMatrix,
     build_prob_matrix,
     expected_homophily,
+    expected_inclusion_matrix,
     homophily_prob_all,
     similarity_matrix,
 )
@@ -128,7 +130,7 @@ class TestSampleGoG:
         alloc = DegreeAllocation(k=np.full(9, 2), total=18)
         config = sp.SamplerConfig(mode=sp.WITH_REPLACEMENT, seed=0)
         rows = 2 if blocks == "few rows" else 9
-        with few_rows(9, rows=rows), mock.patch.object(sp, "_WORKERS", 3):
+        with few_rows(9, rows=rows), mock.patch.object(sm, "_WORKERS", 3):
             with pytest.raises(DegenerateRowError, match="node 3"):
                 sp.GoGSampler(sim, alloc, config)
 
@@ -162,7 +164,7 @@ class TestSampleGoG:
         config = sp.SamplerConfig(mode=sp.WITH_REPLACEMENT, seed=17)
         trials = 4000
         emp = sp.empirical_inclusion_matrix(sim, alloc, config, trials)
-        expected = sp.expected_inclusion_matrix(sim, alloc)
+        expected = expected_inclusion_matrix(sim, alloc)
         p = sim.S / sim.S.sum(axis=1, keepdims=True)
         se = np.sqrt(p * (1 - p) * k[:, None] / trials)
         assert np.all(np.abs(emp - expected) <= 4.0 * se + 1e-12)
@@ -187,9 +189,9 @@ def per_row_without_replacement(sim, k, seed, stream_id, uniforms=key_uniforms):
 
 
 def few_rows(n, rows=3):
-    """Patch the sampler's block budget so an n-node draw uses row blocks of
+    """Patch the mapper's block budget so an n-node pass uses row blocks of
     ``rows`` rows, the last one shorter when rows does not divide n."""
-    return mock.patch.object(sp, "_BLOCK_BYTES", 8 * n * rows)
+    return mock.patch.object(sm, "_BLOCK_BYTES", 8 * n * rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -476,18 +478,18 @@ def test_draw_holds_two_block_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block = 8 * n * sp._block_rows(n)
+    block = 8 * n * sm._block_rows(n)
     assert peak < 3 * block + gog.edges.nbytes
 
 
 def test_many_cpus_keep_the_draw_small():
     n = 3000
     sim, alloc = square_array_fixture(n)
-    with mock.patch.object(sp, "_WORKERS", 1):
+    with mock.patch.object(sm, "_WORKERS", 1):
         serial = sp.GoGSampler(
             sim, alloc, sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=3)
         ).sample(0)
-    with mock.patch.object(sp, "_WORKERS", 16):
+    with mock.patch.object(sm, "_WORKERS", 16):
         gog, peak = traced_draw(sim, alloc)
     assert np.array_equal(gog.edges, serial.edges)
     assert peak < n * n * 8 / 4  # the bound of the test above
@@ -514,7 +516,7 @@ def test_blocks_give_the_same_draw_on_any_number_of_threads():
     # the oracle prepares every row's CDF in one pass over the dense S
     expected_replaced, _ = unique_with_replacement(sim, k, 6, 3)
     for workers in (1, 2, 3, 5):
-        with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", workers):
+        with few_rows(n, rows=7), mock.patch.object(sm, "_WORKERS", workers):
             sampler = sp.GoGSampler(sim, alloc, config)
             edges = sampler.sample(3).edges
             clamped = sp.GoGSampler(sim, wide, config).k_effective
@@ -554,7 +556,7 @@ def test_block_error_reaches_the_caller(bad, error):
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=2)
     failed = f"rows {bad}:{bad + 7} failed"
-    with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", 3):
+    with few_rows(n, rows=7), mock.patch.object(sm, "_WORKERS", 3):
         sampler = sp.GoGSampler(sim, alloc, config)
         good = sampler.sample(0).edges
         sim.armed = True
@@ -582,14 +584,14 @@ def test_homophily_reads_the_similarity_only_by_rows(blocks):
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     expected = dense_homophily(dense.S, labels)
     rows = 7 if blocks == "few rows" else n
-    with few_rows(n, rows=rows), mock.patch.object(sp, "_WORKERS", 3):
+    with few_rows(n, rows=rows), mock.patch.object(sm, "_WORKERS", 3):
         got = homophily_prob_all(sim, labels)
         mean = expected_homophily(sim, labels, alloc)
     assert got.tobytes() == expected.tobytes()
     assert mean == expected_homophily(dense, labels, alloc)
     assert mean == float((k * expected).sum() / k.sum())
     sim.armed = True
-    with few_rows(n, rows=rows), mock.patch.object(sp, "_WORKERS", 3):
+    with few_rows(n, rows=rows), mock.patch.object(sm, "_WORKERS", 3):
         with pytest.raises(RuntimeError, match=f"rows 0:{rows} failed"):
             homophily_prob_all(sim, labels)
 
@@ -602,7 +604,7 @@ def test_homophily_blocks_give_the_one_block_bytes_on_any_number_of_threads():
         one_block = homophily_prob_all(sim, labels)
     assert one_block.tobytes() == dense_homophily(sim.S, labels).tobytes()
     for workers in (1, 2, 3):
-        with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", workers):
+        with few_rows(n, rows=7), mock.patch.object(sm, "_WORKERS", workers):
             got = homophily_prob_all(sim, labels)
         assert got.tobytes() == one_block.tobytes(), workers
 
@@ -631,7 +633,7 @@ def test_with_replacement_reads_the_similarity_only_by_rows(blocks):
     config = sp.SamplerConfig(mode=sp.WITH_REPLACEMENT, seed=5)
     expected = sp.GoGSampler(dense, alloc, config)
     rows = 7 if blocks == "few rows" else n
-    with few_rows(n, rows=rows), mock.patch.object(sp, "_WORKERS", 3):
+    with few_rows(n, rows=rows), mock.patch.object(sm, "_WORKERS", 3):
         sampler = sp.GoGSampler(sim, alloc, config)
     for stream in range(3):
         edges = sampler.sample(stream).edges
@@ -646,7 +648,7 @@ def test_concurrent_callers_share_one_sampler():
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=8)
     streams = range(6)
     switch = sys.getswitchinterval()
-    with few_rows(n, rows=5), mock.patch.object(sp, "_WORKERS", 3):
+    with few_rows(n, rows=5), mock.patch.object(sm, "_WORKERS", 3):
         sampler = sp.GoGSampler(sim, alloc, config)
         serial = [sampler.sample(i).edges for i in streams]
         got = {}
@@ -675,7 +677,7 @@ def test_no_block_thread_outlives_the_draw():
     k = np.full(n, 3)
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=4)
-    with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", 3):
+    with few_rows(n, rows=7), mock.patch.object(sm, "_WORKERS", 3):
         gog = sp.GoGSampler(sim, alloc, config).sample(0)
     assert any(name.startswith("samgog-blocks") for name in sim.threads)
     assert not [t for t in threading.enumerate() if t.name.startswith("samgog-blocks")]
@@ -689,7 +691,7 @@ def test_forked_child_draws_the_parents_edges():
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=9)
     ctx = multiprocessing.get_context("fork")
-    with few_rows(n, rows=7), mock.patch.object(sp, "_WORKERS", 3):
+    with few_rows(n, rows=7), mock.patch.object(sm, "_WORKERS", 3):
         edges = sp.GoGSampler(sim, alloc, config).sample(0).edges
         recv, send = ctx.Pipe(duplex=False)
 
@@ -715,12 +717,12 @@ def test_one_block_never_makes_the_pool():
     k = np.full(n, 4)
     alloc = DegreeAllocation(k=k, total=int(k.sum()))
     config = sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=1)
-    assert sp._block_rows(n) == n
+    assert sm._block_rows(n) == n
     no_pool = mock.patch(
         "concurrent.futures.ThreadPoolExecutor",
         side_effect=AssertionError("pool made for one block"),
     )
-    with no_pool, mock.patch.object(sp, "_WORKERS", 4):
+    with no_pool, mock.patch.object(sm, "_WORKERS", 4):
         gog = sp.GoGSampler(sim, alloc, config).sample(0)
     assert np.array_equal(gog.edges, per_row_without_replacement(sim, k, 1, 0))
 
