@@ -195,15 +195,19 @@ class SymmetricOperator:
         rows = rows[order]
         self.cols = np.concatenate((nodes, dst, src))[order]
         vals = np.concatenate((np.full(n, float(diagonal)), weight, weight))[order]
+        del order  # each array is dropped once read, to keep the build's peak low
+        self.starts = np.searchsorted(rows, nodes)
         if normalize:
             degree = np.bincount(rows, vals, minlength=n)
             if not (degree > 0.0).all():
                 row = int(np.argmin(degree > 0.0))
                 raise ValueError(f"row {row} has degree {degree[row]}, not > 0")
             inv_sqrt = 1.0 / np.sqrt(degree)
-            vals = vals * inv_sqrt[rows] * inv_sqrt[self.cols]
+            # in place, rounded as vals * inv_sqrt[rows] * inv_sqrt[cols]
+            vals *= inv_sqrt[rows]
+            del rows
+            vals *= inv_sqrt[self.cols]
         self.vals = vals
-        self.starts = np.searchsorted(rows, nodes)
         # (first row, end row, cols, vals, row offsets within the chunk) of
         # every chunk; a chunk starts at row 0 and at the first row that
         # starts at or after each multiple of _CHUNK_ENTRIES (repeats, and n
@@ -272,20 +276,23 @@ def dense_forward(
     return out, (x, w, out > 0 if relu else None, b is not None)
 
 
-def dense_backward(cache: tuple, dout: np.ndarray, input_grad: bool):
+def dense_backward(cache: tuple, dout: np.ndarray, input_grad: bool,
+                   reuse_input: bool = False):
     """Gradients (dx, dw, db) for dense_forward; db is None without bias
     and dx is None without ``input_grad`` (a first layer's input is data).
 
     Overwrites ``dout`` with the pre-activation gradient, so the backward
     pass holds one node-sized gradient fewer; pass a copy to keep it.  The
     cached sign masks it: a ReLU's output is positive exactly where its
-    input is, so the sign is all its backward reads."""
+    input is, so the sign is all its backward reads.  With ``reuse_input``,
+    dx is written into the cached input, which is dead once dw is taken, so
+    dx needs no array of its own; the input must be no one else's."""
     x, w, positive, has_bias = cache
     if positive is not None:
         dout *= positive
     dw = x.T @ dout
     db = dout.sum(axis=0) if has_bias else None
-    dx = dout @ w.T if input_grad else None
+    dx = np.matmul(dout, w.T, out=x if reuse_input else None) if input_grad else None
     return dx, dw, db
 
 
@@ -335,7 +342,10 @@ def table_backward(table, caches, grad, op, grad_views, input_grad: bool):
     ``grad`` is the gradient of the table's output, and ``caches`` ends with
     the table's rows; it pops one per row, last row first, and may
     overwrite ``grad``.  Each row's cache and incoming gradient are dropped
-    as soon as its gradients are taken."""
+    as soon as its gradients are taken.  A row whose input the table made
+    (the operator's product, or the previous row's output) receives its
+    input gradient in that input's array; the first row of a table that
+    does not propagate reads the caller's input, which is left as it was."""
     for i in range(len(table) - 1, -1, -1):
         weight, bias, _, _, propagate, _ = table[i]
         cache, keep, scale = caches.pop()
@@ -343,7 +353,8 @@ def table_backward(table, caches, grad, op, grad_views, input_grad: bool):
             grad *= keep
             grad *= scale
         need_dx = input_grad or i > 0
-        grad, dw, db = dense_backward(cache, grad, need_dx)
+        grad, dw, db = dense_backward(cache, grad, need_dx,
+                                      reuse_input=propagate or i > 0)
         del cache, keep
         grad_views[weight] += dw
         if bias is not None:

@@ -276,6 +276,8 @@ def empirical_inclusion_matrix(
     num_trials: int,
 ) -> np.ndarray:
     """Mean edge-count matrix over independent with-replacement samples."""
+    if num_trials < 1:
+        raise ValueError(f"num_trials must be >= 1, got {num_trials}")
     if config.mode != WITH_REPLACEMENT:
         raise ValueError("inclusion matrix is defined for with-replacement mode")
     sampler = GoGSampler(sim, allocation, config)

@@ -135,7 +135,9 @@ _WORKERS = _usable_cpus()
 # the counter bits, the rows and the partitioned copy in turn) plus two
 # boolean masks of an eighth of one each.  Counted as four per thread, that
 # caps a call with full 512 KiB blocks at four threads, so its peak stays
-# that of a dense 1024 x 1024 S however many CPUs there are.
+# that of a dense 1024 x 1024 S however many CPUs there are.  The caller
+# makes every thread's float64 buffers before the threads start; a thread
+# makes only its blocks' masks and small per-row arrays.
 _INFLIGHT_BYTES = 1 << 23
 
 
@@ -147,18 +149,22 @@ def _block_rows(n: int) -> int:
 def _map_blocks(n: int, block, buffers: int) -> None:
     """Call ``block(r0, r1, *bufs)`` once per row block of n rows, on up to
     _WORKERS threads, the caller's among them: no more threads than blocks,
-    nor than hold four block-sized arrays each within _INFLIGHT_BYTES.  Each
-    thread makes ``buffers`` block-sized float64 arrays and pulls whole
-    blocks from one shared queue until it is empty; ``bufs`` are its arrays
-    cut to the block's rows.  No rows make no block.  Joins the threads it
-    made before it returns, and raises the first error among the calls."""
+    nor than hold four block-sized arrays each within _INFLIGHT_BYTES.  The
+    caller makes every thread's ``buffers`` block-sized float64 arrays
+    before any thread starts, so they come from its own heap, not from a
+    malloc arena of the thread that would stay resident after it.  Each
+    thread pulls whole blocks from one shared queue until it is empty;
+    ``bufs`` are its own arrays cut to the block's rows.  No rows make no
+    block.  Joins the threads it made before it returns, and raises the
+    first error among the calls."""
     if not n:
         return
     rows = _block_rows(n)
     todo = collections.deque((r0, min(n, r0 + rows)) for r0 in range(0, n, rows))
+    threads = max(1, min(_WORKERS, len(todo), _INFLIGHT_BYTES // (4 * 8 * n * rows)))
+    sets = [[np.empty((rows, n)) for _ in range(buffers)] for _ in range(threads)]
 
-    def run():
-        bufs = [np.empty((rows, n)) for _ in range(buffers)]
+    def run(bufs):
         while True:
             try:
                 r0, r1 = todo.popleft()
@@ -170,16 +176,15 @@ def _map_blocks(n: int, block, buffers: int) -> None:
                 todo.clear()  # the other threads stop after their current block
                 raise
 
-    threads = min(_WORKERS, len(todo), _INFLIGHT_BYTES // (4 * 8 * n * rows))
-    if threads <= 1:
-        run()
+    if threads == 1:
+        run(sets[0])
         return
     # imported here, so a process that never runs a block on a thread skips it
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(threads - 1, thread_name_prefix="samgog-blocks") as pool:
-        futures = [pool.submit(run) for _ in range(threads - 1)]
-        run()
+        futures = [pool.submit(run, bufs) for bufs in sets[1:]]
+        run(sets[0])
         for future in futures:
             future.result()
 
@@ -264,6 +269,16 @@ def expected_homophily(
 
 
 def expected_inclusion_matrix(sim: Similarity, allocation) -> np.ndarray:
-    """Closed form k_i * S[i, j] / sum_m S[i, m]."""
+    """Closed form k_i * S[i, j] / sum_m S[i, m].  A row whose total is
+    <= 0 is a DegenerateRowError, and an allocation that is not one degree
+    per node a ValueError."""
+    k, n = allocation.k, sim.num_nodes
+    if k.shape != (n,):
+        raise ValueError(
+            f"expected inclusion needs one degree per similarity node: got an "
+            f"allocation of shape {k.shape} for a similarity of shape ({n}, {n})"
+        )
     s = sim.S
-    return allocation.k[:, None] * s / s.sum(axis=1, keepdims=True)
+    totals = s.sum(axis=1, keepdims=True)
+    _check_row_mass(totals)
+    return k[:, None] * s / totals

@@ -1,8 +1,8 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from samgog import data, nn
 from samgog import encoder as enc
@@ -375,12 +375,8 @@ def test_supervised_step_holds_no_full_gather():
     state = enc.init_encoder_state(ds, config, 303)
     op = enc.build_operators(ds, config)
     labeled = np.arange(0, len(ds), 2)
-    tracemalloc.start()
-    try:
-        enc.supervised_loss_and_grad(ds, config, state, ds.labels(), labeled, op=op)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: enc.supervised_loss_and_grad(
+        ds, config, state, ds.labels(), labeled, op=op))
     gather = op.cols.size * config.hidden_dim * 8
     assert peak < 2 * gather
 
@@ -393,16 +389,6 @@ def planted_3000():
     return ds, config, state, enc.build_operators(ds, config)
 
 
-def traced_peak(run):
-    tracemalloc.start()
-    try:
-        run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 def test_supervised_step_keeps_only_what_backward_reads(planted_3000):
     """One encoder step at 3000 graphs peaks under 4.5 node-level
     activations (V x hidden float64): each ReLU keeps its boolean sign, not
@@ -412,7 +398,7 @@ def test_supervised_step_keeps_only_what_backward_reads(planted_3000):
     ds, config, state, op = planted_3000
     activation = len(ds.node_features) * config.hidden_dim * 8
     labeled = np.arange(0, len(ds), 2)
-    peak = traced_peak(lambda: enc.supervised_loss_and_grad(
+    _, peak = traced_peak(lambda: enc.supervised_loss_and_grad(
         ds, config, state, ds.labels(), labeled, op=op))
     assert peak < 4.5 * activation
 
@@ -422,8 +408,53 @@ def test_encode_dataset_keeps_no_caches(planted_3000):
     no layer input and no ReLU sign.  Caching them takes it to about 3.4."""
     ds, config, state, op = planted_3000
     activation = len(ds.node_features) * config.hidden_dim * 8
-    peak = traced_peak(lambda: enc.encode_dataset(ds, config, state, op=op))
+    _, peak = traced_peak(lambda: enc.encode_dataset(ds, config, state, op=op))
     assert peak < 2.75 * activation
+
+
+@pytest.mark.parametrize("arch, bound", [(enc.ARCH_GCN, 3.0), (enc.ARCH_GIN, 5.0)])
+def test_supervised_step_reuses_dead_inputs(planted_3000, arch, bound):
+    """One encoder step at 3000 graphs peaks under 3.0 activations for GCN
+    and 5.0 for GIN: backward writes each layer's input gradient into that
+    layer's cached input, dead once its weight gradient is taken.  A new
+    array for each input gradient takes them to about 3.7 and 5.7."""
+    ds = planted_3000[0]
+    config = enc.EncoderConfig(arch=arch, hidden_dim=16)
+    state = enc.init_encoder_state(ds, config, 303)
+    op = enc.build_operators(ds, config)
+    activation = len(ds.node_features) * config.hidden_dim * 8
+    labeled = np.arange(0, len(ds), 2)
+    _, peak = traced_peak(lambda: enc.supervised_loss_and_grad(
+        ds, config, state, ds.labels(), labeled, op=op))
+    assert peak < bound * activation
+
+
+def test_operator_build_peaks_under_two_and_a_half_operators(planted_3000):
+    """Building the GCN operator at 3000 graphs peaks under 2.5 times its
+    own bytes: the sort order and the sorted row ids are dropped once read,
+    and the normalisation scales the values in place.  Normalising into new
+    arrays takes it to about 2.7."""
+    ds = planted_3000[0]
+    edges = ds.global_edges()
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    op, peak = traced_peak(lambda: nn.SymmetricOperator(
+        len(ds.node_features), edges[:, 0], edges[:, 1], 1.0, normalize=True))
+    assert peak < 2.5 * op.nbytes
+
+
+@pytest.mark.parametrize("arch", [enc.ARCH_GCN, enc.ARCH_GIN])
+def test_step_returns_the_eval_embeddings_at_dropout_zero(arch):
+    # the head's first row reads H, which the step returns, so backward must
+    # not write its input gradient there
+    ds = data.make_planted_dataset(num_graphs=40, seed=3)
+    config = enc.EncoderConfig(arch=arch, hidden_dim=8)
+    state = enc.init_encoder_state(ds, config, 11)
+    labeled = np.arange(0, len(ds), 2)
+    _, _, h, logits = enc.supervised_loss_and_grad(
+        ds, config, state, ds.labels(), labeled)
+    eval_h, eval_logits = enc.encode_dataset(ds, config, state)
+    assert h.tobytes() == eval_h.tobytes()
+    assert logits.tobytes() == eval_logits.tobytes()
 
 
 def test_unlabeled_graph_in_the_labeled_subset_is_named():

@@ -348,6 +348,29 @@ def test_layer_table_keeps_the_float_cache_bytes(tables, graph, p, input_grad, s
     assert eval_got.tobytes() == eval_want.tobytes()
 
 
+@given(layer_tables(), weighted_graphs(), st.sampled_from([0.0, 0.3]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_table_backward_leaves_the_callers_input(tables, graph, p, seed):
+    """Backward writes a row's input gradient into the row's input only
+    where the table made that input, so the caller's ``x`` (the first row's
+    input when it does not propagate) keeps its bytes."""
+    table, in_dim = tables
+    op, _ = operator_and_oracle(graph, True, 0.0)
+    spec = nn.table_param_spec(table, in_dim)
+    views = spec.views(nn.glorot_init(spec, seed))
+    x = np.random.default_rng([seed, 1]).normal(size=(graph[0], in_dim))
+    before = x.copy()
+    caches = []
+    out = nn.table_forward(table, x, views, op, p, np.random.default_rng(seed),
+                           caches)
+    dout = np.random.default_rng([seed, 2]).normal(size=out.shape)
+    dx = nn.table_backward(table, caches, dout, op,
+                           spec.views(np.zeros(spec.total)), True)
+    assert dx.shape == x.shape
+    assert x.tobytes() == before.tobytes()
+
+
 class TestOptimizer:
     def make_state(self, params, lr=0.1):
         spec = nn.ParamSpec((("p", (params.size,)),))

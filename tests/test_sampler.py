@@ -7,11 +7,11 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -440,13 +440,7 @@ def traced_draw(sim, alloc, mode=sp.WITHOUT_REPLACEMENT):
     """The edges of one draw and the peak traced bytes of building the
     sampler and drawing."""
     config = sp.SamplerConfig(mode=mode, seed=3)
-    tracemalloc.start()
-    try:
-        gog = sp.GoGSampler(sim, alloc, config).sample(0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return gog, peak
+    return traced_peak(lambda: sp.GoGSampler(sim, alloc, config).sample(0))
 
 
 def test_without_replacement_holds_no_square_array():
@@ -472,12 +466,7 @@ def test_draw_holds_two_block_buffers():
     sampler = sp.GoGSampler(
         sim, alloc, sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=3)
     )
-    tracemalloc.start()
-    try:
-        gog = sampler.sample(0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    gog, peak = traced_peak(lambda: sampler.sample(0))
     block = 8 * n * sm._block_rows(n)
     assert peak < 3 * block + gog.edges.nbytes
 
@@ -493,6 +482,37 @@ def test_many_cpus_keep_the_draw_small():
         gog, peak = traced_draw(sim, alloc)
     assert np.array_equal(gog.edges, serial.edges)
     assert peak < n * n * 8 / 4  # the bound of the test above
+
+
+def test_mapper_threads_make_no_block_buffers():
+    """The caller makes every thread's block buffers before the threads
+    start, so no samgog-blocks thread allocates a block-sized array (which
+    would keep a malloc arena of that thread resident)."""
+    n = 3000
+    sim, alloc = square_array_fixture(n)
+    block = sm._block_rows(n) * n
+    made, ran = [], set()
+    empty, rows = np.empty, FactorSimilarity.rows
+
+    def recording_empty(shape, *args, **kwargs):
+        made.append((threading.current_thread().name, int(np.prod(shape))))
+        return empty(shape, *args, **kwargs)
+
+    def recording_rows(self, *args, **kwargs):
+        ran.add(threading.current_thread().name)
+        return rows(self, *args, **kwargs)
+
+    with mock.patch.object(sm, "_WORKERS", 2), \
+            mock.patch.object(sm.np, "empty", recording_empty), \
+            mock.patch.object(FactorSimilarity, "rows", recording_rows):
+        sp.GoGSampler(
+            sim, alloc, sp.SamplerConfig(mode=sp.WITHOUT_REPLACEMENT, seed=3)
+        ).sample(0)
+    assert any(name.startswith("samgog-blocks") for name in ran)
+    on_threads = [size for name, size in made
+                  if name.startswith("samgog-blocks") and size >= block]
+    assert on_threads == []
+    assert [size for _, size in made].count(block) >= 4  # the draw's 2 x 2
 
 
 def sparse_similarity(n, seed):
@@ -613,12 +633,7 @@ def test_expected_homophily_holds_no_square_array():
     n = 3000
     sim, alloc = square_array_fixture(n)
     labels = np.random.default_rng(30).integers(0, 2, size=n)
-    tracemalloc.start()
-    try:
-        expected_homophily(sim, labels, alloc)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: expected_homophily(sim, labels, alloc))
     assert peak < n * n * 8 / 4  # a quarter of one N x N float64 array
 
 
@@ -917,6 +932,15 @@ class TestEmpiricalInclusion:
         off = emp[~np.eye(3, dtype=bool)]
         se = math.sqrt(0.5 * 0.5 * 2 / trials)
         assert np.all(np.abs(off - 1.0) <= 4 * se)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_rejected_by_name(self, trials):
+        sim = random_similarity(4, seed=1)
+        alloc = DegreeAllocation(k=np.full(4, 2), total=8)
+        with pytest.raises(ValueError, match=rf"num_trials must be >= 1, got {trials}"):
+            sp.empirical_inclusion_matrix(
+                sim, alloc, sp.SamplerConfig(mode=sp.WITH_REPLACEMENT), trials
+            )
 
     def test_requires_with_replacement(self):
         sim = random_similarity(4, seed=1)

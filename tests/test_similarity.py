@@ -243,6 +243,27 @@ class TestExpectedHomophily:
         assert abs(values.mean() - closed) <= 3.0 * sigma + 1e-12
 
 
+class TestExpectedInclusion:
+    def test_row_without_mass_is_named(self):
+        s = sim.SimilarityMatrix(
+            S=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            diagonal_zeroed=True,
+        )
+        alloc = DegreeAllocation(k=np.array([1, 1, 1]), total=3)
+        with pytest.raises(sim.DegenerateRowError,
+                           match="node 2 has no positive off-diagonal similarity"):
+            sim.expected_inclusion_matrix(s, alloc)
+
+    @pytest.mark.parametrize("k", [[1, 2], [1, 2, 3, 4]])
+    def test_allocation_length_must_match_nodes(self, k):
+        s = sim.similarity_matrix(np.full((3, 2), 0.5), zero_diagonal=True)
+        alloc = DegreeAllocation(k=np.array(k), total=int(np.sum(k)))
+        with pytest.raises(ValueError, match=r"one degree per similarity node: got "
+                           rf"an allocation of shape \({len(k)},\) for a "
+                           r"similarity of shape \(3, 3\)"):
+            sim.expected_inclusion_matrix(s, alloc)
+
+
 class TestOneHotPurity:
     @given(st.integers(min_value=4, max_value=12), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
