@@ -10,6 +10,7 @@ at parse time.  A dataset stores its graphs stacked, in graph order (see
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
 
@@ -205,36 +206,31 @@ class SplitSpec:
 # ---------------------------------------------------------------------------
 
 
-def _read_int_lines(path: str) -> list[int]:
-    out = []
+def _read_int_lines(path: str, width: int) -> np.ndarray:
+    """One row per non-blank line of ``path``: its ``width`` comma-separated
+    integers, then its 1-based line number."""
+    fields, numbers = [], []
     with open(path, "r", newline=None) as f:
         for ln, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                out.append(int(line))
-            except ValueError as e:
-                raise ParseError(f"{path}:{ln}: expected integer, got {line!r}") from e
-    return out
-
-
-def _read_edge_lines(path: str) -> np.ndarray:
-    """(src, dst, line_number) rows, 1-indexed global node ids."""
-    out = []
-    with open(path, "r", newline=None) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
+            parts = line.split(",") if width > 1 else (line,)
+            if len(parts) != width:
                 raise ParseError(f"{path}:{ln}: expected 'src, dst', got {line!r}")
-            try:
-                out.append((int(parts[0].strip()), int(parts[1].strip()), ln))
-            except ValueError as e:
-                raise ParseError(f"{path}:{ln}: expected integers, got {line!r}") from e
-    return np.array(out, dtype=np.int64).reshape(-1, 3)
+            fields += parts
+            numbers.append(ln)
+    # one int() per field in a single C-level pass; on a bad field, the
+    # fields left in ``rest`` locate it
+    rest = iter(fields)
+    try:
+        values = np.fromiter(map(int, rest), np.int64, len(fields))
+    except ValueError as e:
+        row = (len(fields) - operator.length_hint(rest) - 1) // width
+        line = ",".join(fields[row * width : (row + 1) * width])
+        noun = "integers" if width > 1 else "integer"
+        raise ParseError(f"{path}:{numbers[row]}: expected {noun}, got {line!r}") from e
+    return np.column_stack((values.reshape(-1, width), np.array(numbers, np.int64)))
 
 
 def parse_tudataset(
@@ -258,13 +254,14 @@ def parse_tudataset(
             raise ParseError(f"missing mandatory file {path}")
         return path
 
-    edges = _read_edge_lines(require("A.txt"))
-    indicator = np.array(_read_int_lines(require("graph_indicator.txt")), np.int64)
-    graph_labels_raw = _read_int_lines(require("graph_labels.txt"))
+    edges = _read_int_lines(require("A.txt"), 2)
+    indicator = _read_int_lines(require("graph_indicator.txt"), 1)[:, 0]
+    graph_labels_raw = _read_int_lines(require("graph_labels.txt"), 1)[:, 0]
 
     node_labels_path = f"{prefix}_node_labels.txt"
     node_labels_raw = (
-        _read_int_lines(node_labels_path) if os.path.isfile(node_labels_path) else None
+        _read_int_lines(node_labels_path, 1)[:, 0]
+        if os.path.isfile(node_labels_path) else None
     )
     if node_labels_raw is not None and len(node_labels_raw) != len(indicator):
         raise IntegrityError(
@@ -315,7 +312,7 @@ def parse_tudataset(
     start = _node_offsets(counts)[edge_graph]
 
     distinct, labels = np.unique(graph_labels_raw, return_inverse=True)
-    node_labels = None if node_labels_raw is None else np.array(node_labels_raw)[order]
+    node_labels = None if node_labels_raw is None else node_labels_raw[order]
     if feature_scheme is None:
         feature_scheme = (
             NODE_LABEL_ONEHOT if node_labels_raw is not None else DEGREE_ONEHOT
@@ -612,6 +609,8 @@ def make_planted_dataset(
     Class c graphs get mean feature ``signal`` in coordinate c plus Gaussian
     noise; with ``noise=0`` the classes have class-distinct constant features.
     """
+    if num_graphs < 1:
+        raise DatasetError(f"planted dataset needs num_graphs >= 1, got {num_graphs}")
     if feature_dim < 2:
         raise DatasetError("planted dataset needs feature_dim >= 2")
     if not 1 <= min_nodes <= max_nodes:

@@ -256,6 +256,23 @@ def _mean_eval_logits(sampler, h, state, config, stream_base, count):
     return acc / count, gogs
 
 
+def mean_loss_and_grad(sampler, streams, h, state, config, labels, labeled_idx, train):
+    """Mean downstream loss and gradient over one GoG sampled per stream id
+    in ``streams``, summed in stream order, and those GoGs."""
+    gogs = [sampler.sample(stream) for stream in streams]
+    grad = np.zeros_like(state.params)
+    loss = 0.0
+    for gog in gogs:
+        prop = gog_propagation_matrix(gog)
+        with np.errstate(all="ignore"):
+            loss_j, grad_j, _ = downstream_loss_and_grad(
+                prop, h, state, config, labels, labeled_idx, train=train
+            )
+        grad += grad_j
+        loss += loss_j
+    return loss / len(gogs), grad / len(gogs), gogs
+
+
 def _observable_homophily(gog: GoGGraph, observable_labels: np.ndarray) -> float:
     """Edge homophily restricted to edges whose both endpoints carry an
     observable label; nan when no such edge exists."""
@@ -387,23 +404,13 @@ def train_full_pipeline(
         _check_finite(f"encoder step at epoch {epoch}", enc_loss, enc_grad, h, logits)
         sampler = sampler_for(logits)
 
-        grad_sum = np.zeros_like(down_state.params)
-        loss_sum = 0.0
-        homo_vals = []
-        for j in range(t):
-            gog = sampler.sample(epoch * t + j)
-            prop = gog_propagation_matrix(gog)
-            with np.errstate(all="ignore"):
-                loss_j, grad_j, _ = downstream_loss_and_grad(
-                    prop, h, down_state, downstream_config,
-                    observable, train_list, train=True,
-                )
-            _check_finite(f"downstream step at epoch {epoch}", loss_j, grad_j)
-            grad_sum += grad_j
-            loss_sum += loss_j
-            homo_vals.append(_observable_homophily(gog, observable))
-        down_loss = loss_sum / t
-        optimizer_step(down_state, grad_sum / t)
+        down_loss, down_grad, gogs = mean_loss_and_grad(
+            sampler, range(epoch * t, epoch * t + t), h, down_state,
+            downstream_config, observable, train_list, train=True,
+        )
+        _check_finite(f"downstream step at epoch {epoch}", down_loss, down_grad)
+        optimizer_step(down_state, down_grad)
+        homo_vals = [_observable_homophily(g, observable) for g in gogs]
 
         if val_list:
             with np.errstate(all="ignore"):

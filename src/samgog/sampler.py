@@ -184,16 +184,6 @@ class GoGSampler:
             pair = self._flat_cdf.searchsorted(u, side="right")
             np.minimum(pair, self._draw_last, out=pair)
             pair.sort()
-            # runs of equal pairs are the edges, their lengths the
-            # multiplicities; head[i] marks the start of a run or the end, so
-            # a draw of no pairs gives head = [True] and no edges
-            head = np.empty(pair.size + 1, dtype=bool)
-            head[0] = head[-1] = True
-            np.not_equal(pair[1:], pair[:-1], out=head[1:-1])
-            bounds = head.nonzero()[0]
-            edges = np.empty((bounds.size - 1, 3), dtype=np.int64)
-            np.divmod(pair[bounds[:-1]], n, out=(edges[:, 0], edges[:, 1]))
-            np.subtract(bounds[1:], bounds[:-1], out=edges[:, 2])
         else:
             keys = vector_keys(base, self._node_ids)
             ke = self.k_effective
@@ -204,7 +194,7 @@ class GoGSampler:
             at = np.minimum(kmax - ke, kmax - 1)
             keeps_none = ke == 0
             ends = np.cumsum(ke)
-            edges = np.empty((int(ends[-1]), 3), dtype=np.int64)
+            pair = np.empty(int(ends[-1]), dtype=np.int64)
 
             def draw(r0, r1, key_buf, spare):
                 key = key_uniforms(
@@ -242,12 +232,20 @@ class GoGSampler:
                         keep[i] = False
                         keep[i, by_key[: ke[r0 + i]]] = True
                     flat = np.flatnonzero(keep)
-                # row-major order: by row, then by column
-                np.remainder(flat, n, out=edges[lo:hi, 1])
+                # row-major order keeps the flat ids sorted
+                np.add(flat, r0 * n, out=pair[lo:hi])
 
             _map_blocks(n, draw, buffers=2)
-            edges[:, 0] = np.repeat(np.arange(n), ke)
-            edges[:, 2] = 1
+        # runs of equal pairs are the edges, their lengths the multiplicities
+        # (all 1 without replacement); head[i] marks the start of a run or
+        # the end, so a draw of no pairs gives head = [True] and no edges
+        head = np.empty(pair.size + 1, dtype=bool)
+        head[0] = head[-1] = True
+        np.not_equal(pair[1:], pair[:-1], out=head[1:-1])
+        bounds = head.nonzero()[0]
+        edges = np.empty((bounds.size - 1, 3), dtype=np.int64)
+        np.divmod(pair[bounds[:-1]], n, out=(edges[:, 0], edges[:, 1]))
+        np.subtract(bounds[1:], bounds[:-1], out=edges[:, 2])
         return GoGGraph(
             edges=edges, num_nodes=n, mode=self.config.mode, stream_key=base
         )

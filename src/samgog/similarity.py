@@ -204,10 +204,11 @@ def build_prob_matrix(
     labels = np.asarray(labels, dtype=np.int64)
     labeled_mask = np.asarray(labeled_mask, dtype=bool)
     n, c = logits.shape
-    if labeled_mask.shape != (n,):
-        raise ValueError(
-            f"labeled_mask has shape {labeled_mask.shape} for {n} rows of logits"
-        )
+    for name, arr in (("labels", labels), ("labeled_mask", labeled_mask)):
+        if arr.shape != (n,):
+            raise ValueError(
+                f"{name} has shape {arr.shape} for logits of shape {logits.shape}"
+            )
     finite = np.isfinite(logits).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))

@@ -25,9 +25,8 @@ from .degree_alloc import (
 from .downstream import (
     GoGClassifierConfig,
     downstream_forward,
-    downstream_loss_and_grad,
-    gog_propagation_matrix,
     init_downstream_state,
+    mean_loss_and_grad,
 )
 from .nn import SymmetricOperator, TrainingError
 from .rng import generator, mix
@@ -122,8 +121,10 @@ def _random_feasible_allocation(rng, n, config) -> np.ndarray:
 def check_degree_ordering(num_trials: int = 500, n_max: int = 6, seed: int = 0) -> CheckReport:
     """Greedy fill-by-probability must match the brute-force optimum, and
     swapping degrees into probability order must never lower the objective."""
-    if n_max > 8:
-        raise ValueError("brute-force check limited to n_max <= 8")
+    if num_trials < 1:
+        raise ValueError(f"num_trials must be >= 1, got {num_trials}")
+    if not 2 <= n_max <= 8:
+        raise ValueError(f"brute-force check needs 2 <= n_max <= 8, got {n_max}")
     failures = 0
     worst = None
     for trial in range(num_trials):
@@ -279,15 +280,10 @@ def check_variance_decay(
             # the same init across replicates
             state = init_downstream_state(h.shape[1], 2, config, seed)
             for epoch in range(1, epochs + 1):
-                grad_sum = None
-                for j in range(t):
-                    gog = sampler.sample(epoch * t + j)
-                    prop = gog_propagation_matrix(gog)
-                    _, grad, _ = downstream_loss_and_grad(
-                        prop, h, state, config, labels, labeled_idx, train=False
-                    )
-                    grad_sum = grad if grad_sum is None else grad_sum + grad
-                grad = grad_sum / t
+                _, grad, _ = mean_loss_and_grad(
+                    sampler, range(epoch * t, epoch * t + t), h, state, config,
+                    labels, labeled_idx, train=False,
+                )
                 if not np.all(np.isfinite(grad)):
                     raise TrainingError("non-finite gradient; halting")
                 state.params -= (0.3 / epoch) * grad  # SGD at eta_s = 0.3 / s
@@ -362,6 +358,8 @@ def check_rule_monotonicity(num_trials: int = 1000, seed: int = 0) -> CheckRepor
     valid mass constants; (b) on random probability matrices satisfying the
     dominance constraints, a labeled node's homophily probability strictly
     exceeds a matched unlabeled node's."""
+    if num_trials < 1:
+        raise ValueError(f"num_trials must be >= 1, got {num_trials}")
     failures = 0
     skipped = 0
     grid = np.linspace(0.005, 0.995, 100)

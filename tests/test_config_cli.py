@@ -330,6 +330,19 @@ class TestOtherSubcommands:
         assert status == 1
         assert "t_values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--ordering-trials", "-3"), ("--monotonicity-trials", "0")]
+    )
+    def test_theory_rejects_no_trials_by_name(self, tmp_path, capsys, flag, value):
+        args = {"--ordering-trials": "20", "--unbiasedness-trials": "300",
+                "--monotonicity-trials": "30", flag: value}
+        status = cli.main(
+            ["theory", "--out", str(tmp_path), *(a for kv in args.items() for a in kv),
+             "--t-values", "1,2", "--replicates", "2", "--seed", "0"]
+        )
+        assert status == 1
+        assert f"num_trials must be >= 1, got {value}" in capsys.readouterr().err
+
     def test_make_split_and_inspect(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         out = str(tmp_path / "out")

@@ -273,6 +273,12 @@ def test_planted_edge_prob_outside_unit_interval_rejected(edge_prob):
         data.make_planted_dataset(num_graphs=4, edge_prob=edge_prob)
 
 
+@pytest.mark.parametrize("num_graphs", [0, -2])
+def test_planted_needs_a_graph(num_graphs):
+    with pytest.raises(data.DatasetError, match=f"num_graphs >= 1, got {num_graphs}"):
+        data.make_planted_dataset(num_graphs=num_graphs)
+
+
 def planted_one_pair_at_a_time(
     num_graphs, seed, feature_dim=4, min_nodes=8, max_nodes=16, signal=1.0,
     noise=0.0, edge_prob=0.3,

@@ -43,6 +43,18 @@ def test_similarity_and_sampler_depend_one_way():
     assert reads == []
 
 
+def test_variance_check_steps_through_the_pipelines_mean_step():
+    # check_variance_decay takes its mean over t draws through
+    # downstream.mean_loss_and_grad, so it builds no operator and computes no
+    # loss of its own
+    names = {
+        alias.name for node in ast.walk(_tree("theory"))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    }
+    assert "mean_loss_and_grad" in names
+    assert not names & {"downstream_loss_and_grad", "gog_propagation_matrix"}
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_alone(module):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

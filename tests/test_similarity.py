@@ -76,6 +76,15 @@ class TestProbMatrix:
                 np.zeros((4, 2)), np.array([0, 1, 0, 1]), np.array([True, True])
             )
 
+    @pytest.mark.parametrize("num_labels", [2, 5])
+    def test_labels_length_must_match_logits(self, num_labels):
+        message = rf"labels has shape \({num_labels},\) for logits of shape \(4, 2\)"
+        with pytest.raises(ValueError, match=message):
+            sim.build_prob_matrix(
+                np.zeros((4, 2)), np.zeros(num_labels, dtype=np.int64),
+                np.array([True, False, True, False]),
+            )
+
 
 class TestSimilarityMatrix:
     def test_same_class_onehot_pairs_score_one(self):

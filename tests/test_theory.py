@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -34,6 +35,18 @@ class TestDegreeOrderingCheck:
         json.dumps(d)  # must be JSON-serializable
         assert d["name"] == "degree_ordering_optimality"
         assert "PASS" in report.summary_line()
+
+    @pytest.mark.parametrize("num_trials", [0, -3])
+    def test_fewer_than_one_trial_rejected_by_name(self, num_trials):
+        # a check of no trials would pass with "0 failures / -3 trials"
+        with pytest.raises(ValueError, match=f"num_trials must be >= 1, got {num_trials}"):
+            theory.check_degree_ordering(num_trials=num_trials)
+
+    @pytest.mark.parametrize("n_max", [1, 0, 9])
+    def test_n_max_outside_range_rejected_by_name(self, n_max):
+        # a GoG of one node has no pair to order
+        with pytest.raises(ValueError, match=f"2 <= n_max <= 8, got {n_max}"):
+            theory.check_degree_ordering(num_trials=5, n_max=n_max)
 
 
 class TestSamplingUnbiasednessCheck:
@@ -94,6 +107,15 @@ class TestVarianceSweep:
         with pytest.raises(ValueError, match="t_values"):
             theory.check_variance_decay(t_values=t_values, replicates=2, epochs=1)
 
+    def test_variance_sweep_keeps_its_bytes(self):
+        result = theory.check_variance_decay(
+            t_values=(1, 2, 4), replicates=4, seed=5, epochs=6
+        )
+        digest = hashlib.sha256(np.array(result.variance_estimates).tobytes())
+        assert digest.hexdigest() == (
+            "603711ec8d6f5368299c6f142aa0b610c93f5b22c011b3bf66761a6f1b26dbb1"
+        )
+
     def test_identical_replicate_streams_would_degenerate(self):
         # replicates=2 with identical sampling keys collapse variance to 0;
         # emulate by feeding the degenerate estimates to the result type
@@ -144,6 +166,11 @@ class TestMonotonicityCheck:
         a = theory.check_rule_monotonicity(num_trials=50, seed=6)
         b = theory.check_rule_monotonicity(num_trials=50, seed=6)
         assert a == b
+
+    @pytest.mark.parametrize("num_trials", [0, -1])
+    def test_fewer_than_one_trial_rejected_by_name(self, num_trials):
+        with pytest.raises(ValueError, match=f"num_trials must be >= 1, got {num_trials}"):
+            theory.check_rule_monotonicity(num_trials=num_trials)
 
 
 def test_run_all_checks_report_is_json_ready():
